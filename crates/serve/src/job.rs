@@ -39,7 +39,7 @@ pub type JobId = u64;
 /// maps back to `Queued`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// Waiting in the sharded queue.
+    /// Waiting in the job queue.
     Queued,
     /// A worker is driving the engine.
     Running,

@@ -4,13 +4,13 @@
 //! network **service**: a dependency-free HTTP/1.1 server on
 //! [`std::net::TcpListener`] (crates.io is unreachable, so the HTTP
 //! layer is hand-rolled just like `gdf_core::json`) in front of a
-//! bounded, sharded job queue and a fixed worker pool.
+//! bounded job queue and a fixed worker pool.
 //!
 //! * [`server::JobServer`] — listener + router + workers + crash
 //!   recovery; see the module docs for the endpoint table.
 //! * [`client::Client`] — the matching HTTP client (`gdf submit` /
 //!   `status` / `fetch` speak through it).
-//! * [`queue::ShardedQueue`], [`events::EventLog`], [`job`] — the
+//! * [`queue::FairQueue`], [`events::EventLog`], [`job`] — the
 //!   scheduler's parts, each independently tested.
 //!
 //! The service inherits — and is tested to preserve — the workspace's
@@ -53,7 +53,7 @@ pub use client::Client;
 pub use events::EventLog;
 pub use http::HttpError;
 pub use job::{Job, JobId, JobSpec, JobState, JobStatus, ReportSummary, ShardSpec};
-pub use queue::{FairQueue, JobQueue, PushError, QueueFull, ShardedQueue};
+pub use queue::{FairQueue, PushError};
 pub use server::{
     decode_submission, submission_for_bench, submission_for_suite, submission_with_runtime,
     submission_with_shard, JobServer, ServeConfig,

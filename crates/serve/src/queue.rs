@@ -1,168 +1,23 @@
-//! The bounded, sharded job queue feeding the worker pool.
+//! The bounded job queue feeding the worker pool.
 //!
-//! One shard per worker: a job's home shard is `id % shards`, so a
-//! stream of submissions spreads across the pool without a single hot
-//! mutex, and each worker waits on *its own* shard's condvar. Capacity
-//! is bounded per shard; a full home shard spills to the next one, and
-//! only when every shard is full does [`ShardedQueue::push`] refuse —
-//! the server surfaces that as `503 Service Unavailable` instead of
-//! buffering without bound.
+//! One [`gdf_tenant::FairScheduler`] behind one mutex and one condvar.
+//! Dispatch order is weighted deficit round-robin across tenant lanes
+//! within priority bands, so one tenant's burst queues behind its own
+//! lane. Without a tenant registry no lane is configured and every job
+//! lands in the anonymous `""` lane (weight 1, no quotas): plain FIFO.
 //!
-//! Workers [`ShardedQueue::pop`] their own shard first and *steal* from
-//! the others when idle, so one deep shard cannot strand work while
-//! other workers sit idle. Waits are short-timeout so shutdown flags are
-//! observed promptly.
-//!
-//! With a tenant registry configured, the server swaps the sharded FIFO
-//! for a [`FairQueue`]: the same bounded/blocking surface, but dispatch
-//! order comes from [`gdf_tenant::FairScheduler`] — weighted deficit
-//! round-robin across tenant lanes within priority bands — so one
-//! tenant's burst queues behind its own lane. [`JobQueue`] is the
-//! either-or front the server holds; open mode keeps the exact
-//! pre-tenancy code path.
+//! Capacity bounds the total of queued jobs across all lanes; past it
+//! [`FairQueue::push`] refuses, and the server answers `503 Service
+//! Unavailable` instead of buffering without bound. Every idle worker
+//! waits on the one condvar, so a push wakes whichever worker is free.
+//! Waits are short-timeout so shutdown flags are observed promptly.
 
 use gdf_tenant::{EnqueueError, FairScheduler, LaneConfig, TenantRegistry};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// Returned by [`ShardedQueue::push`] when every shard is at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueFull;
-
-struct Shard {
-    jobs: Mutex<VecDeque<u64>>,
-    available: Condvar,
-}
-
-/// See the [module docs](self).
-pub struct ShardedQueue {
-    shards: Vec<Shard>,
-    capacity_per_shard: usize,
-    closed: AtomicBool,
-}
-
-impl ShardedQueue {
-    /// `shards` parallel lanes (clamped to ≥ 1) of `capacity_per_shard`
-    /// slots each (clamped to ≥ 1).
-    pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
-        ShardedQueue {
-            shards: (0..shards.max(1))
-                .map(|_| Shard {
-                    jobs: Mutex::new(VecDeque::new()),
-                    available: Condvar::new(),
-                })
-                .collect(),
-            capacity_per_shard: capacity_per_shard.max(1),
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// Number of shards (== worker-pool size).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Jobs currently queued across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.jobs.lock().expect("queue poisoned").len())
-            .sum()
-    }
-
-    /// `true` when no job is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Enqueues on the job's home shard, spilling forward to the first
-    /// shard with room; [`QueueFull`] when every shard is at capacity.
-    pub fn push(&self, id: u64) -> Result<(), QueueFull> {
-        let n = self.shards.len();
-        let home = (id % n as u64) as usize;
-        for probe in 0..n {
-            let shard = &self.shards[(home + probe) % n];
-            let mut jobs = shard.jobs.lock().expect("queue poisoned");
-            if jobs.len() < self.capacity_per_shard {
-                jobs.push_back(id);
-                drop(jobs);
-                shard.available.notify_one();
-                return Ok(());
-            }
-        }
-        Err(QueueFull)
-    }
-
-    fn try_pop(&self, worker: usize) -> Option<u64> {
-        let n = self.shards.len();
-        for probe in 0..n {
-            let shard = &self.shards[(worker + probe) % n];
-            if let Some(id) = shard.jobs.lock().expect("queue poisoned").pop_front() {
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    /// Dequeues for `worker`: its own shard first, then work-stealing
-    /// from the others; blocks on the worker's shard for at most
-    /// `timeout` when everything is empty. `None` on timeout or when the
-    /// queue is closed and drained.
-    pub fn pop(&self, worker: usize, timeout: Duration) -> Option<u64> {
-        if let Some(id) = self.try_pop(worker) {
-            return Some(id);
-        }
-        if self.closed.load(Ordering::Acquire) {
-            return None;
-        }
-        let shard = &self.shards[worker % self.shards.len()];
-        let mut jobs = shard.jobs.lock().expect("queue poisoned");
-        // Re-check under the lock: a push (and its notify) may have
-        // landed between the lockless scan above and here; waiting first
-        // would consume that wakeup and sleep the full timeout.
-        if let Some(id) = jobs.pop_front() {
-            return Some(id);
-        }
-        let (mut jobs, _timeout) = shard
-            .available
-            .wait_timeout(jobs, timeout)
-            .expect("queue poisoned");
-        jobs.pop_front().or_else(|| {
-            drop(jobs);
-            self.try_pop(worker)
-        })
-    }
-
-    /// Removes a queued job (used when a queued job is cancelled before
-    /// a worker picks it up). `true` if it was found and removed.
-    pub fn remove(&self, id: u64) -> bool {
-        for shard in &self.shards {
-            let mut jobs = shard.jobs.lock().expect("queue poisoned");
-            if let Some(pos) = jobs.iter().position(|&j| j == id) {
-                jobs.remove(pos);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Marks the queue closed and wakes every waiting worker.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        for shard in &self.shards {
-            shard.available.notify_all();
-        }
-    }
-
-    /// `true` once [`ShardedQueue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-}
-
-/// Returned by [`JobQueue::push`] when a job cannot be queued.
+/// Returned by [`FairQueue::push`] when a job cannot be queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
     /// Global capacity exhausted — the server is saturated (`503`).
@@ -171,32 +26,29 @@ pub enum PushError {
     OverQuota,
 }
 
-/// The tenant-fair queue: [`FairScheduler`] behind one mutex and one
-/// condvar, presenting the same bounded/blocking surface as
-/// [`ShardedQueue`]. Scheduling decisions need global (all-lane) state,
-/// so there is nothing to shard — the mutex guards pure bookkeeping and
-/// is never held across a job run.
+/// See the [module docs](self). Scheduling decisions need global
+/// (all-lane) state, so the mutex guards pure bookkeeping and is never
+/// held across a job run.
 pub struct FairQueue {
     sched: Mutex<FairScheduler>,
     available: Condvar,
     closed: AtomicBool,
-    workers: usize,
 }
 
 impl FairQueue {
-    /// A queue dispatching to `workers` workers, bounding total queued
-    /// jobs at `capacity`, with one configured lane per registry tenant
-    /// (unknown tenants get a default lane on first enqueue).
-    pub fn new(workers: usize, capacity: usize, registry: &TenantRegistry) -> Self {
+    /// A queue bounding total queued jobs at `capacity` (clamped to
+    /// ≥ 1), with one configured lane per registry tenant. Jobs of
+    /// unknown tenants, and every job when `registry` is `None`, get a
+    /// default lane on first enqueue.
+    pub fn new(capacity: usize, registry: Option<&TenantRegistry>) -> Self {
         let mut sched = FairScheduler::new(capacity.max(1));
-        for tenant in &registry.tenants {
+        for tenant in registry.iter().flat_map(|r| &r.tenants) {
             sched.configure(&tenant.id, LaneConfig::from(tenant));
         }
         FairQueue {
             sched: Mutex::new(sched),
             available: Condvar::new(),
             closed: AtomicBool::new(false),
-            workers: workers.max(1),
         }
     }
 
@@ -242,7 +94,8 @@ impl FairQueue {
         self.available.notify_one();
     }
 
-    /// Removes a queued job; `true` if found.
+    /// Removes a queued job (used when a queued job is cancelled before
+    /// a worker picks it up); `true` if found.
     pub fn remove(&self, id: u64) -> bool {
         self.lock().remove(id)
     }
@@ -274,261 +127,93 @@ impl FairQueue {
     }
 }
 
-/// The queue the server actually holds: the pre-tenancy sharded FIFO in
-/// open mode, the fair scheduler when a tenant registry is configured.
-pub enum JobQueue {
-    /// No registry: exact pre-tenancy behavior.
-    Open(ShardedQueue),
-    /// Registry configured: tenant-fair dispatch.
-    Fair(FairQueue),
-}
-
-impl JobQueue {
-    /// Worker-pool size the queue was built for.
-    pub fn shards(&self) -> usize {
-        match self {
-            JobQueue::Open(q) => q.shards(),
-            JobQueue::Fair(q) => q.workers,
-        }
-    }
-
-    /// Jobs currently queued.
-    pub fn len(&self) -> usize {
-        match self {
-            JobQueue::Open(q) => q.len(),
-            JobQueue::Fair(q) => q.len(),
-        }
-    }
-
-    /// `true` when no job is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Enqueues a job. The tenant tag is ignored in open mode.
-    pub fn push(&self, tenant: Option<&str>, id: u64) -> Result<(), PushError> {
-        match self {
-            JobQueue::Open(q) => q.push(id).map_err(|QueueFull| PushError::Full),
-            JobQueue::Fair(q) => q.push(tenant, id),
-        }
-    }
-
-    /// Dequeues for `worker`, blocking up to `timeout`.
-    pub fn pop(&self, worker: usize, timeout: Duration) -> Option<u64> {
-        match self {
-            JobQueue::Open(q) => q.pop(worker, timeout),
-            JobQueue::Fair(q) => q.pop(timeout),
-        }
-    }
-
-    /// Records a dispatched job finishing (no-op in open mode, where
-    /// nothing gates on running counts).
-    pub fn finish(&self, tenant: Option<&str>) {
-        if let JobQueue::Fair(q) = self {
-            q.finish(tenant);
-        }
-    }
-
-    /// Removes a queued job; `true` if found.
-    pub fn remove(&self, id: u64) -> bool {
-        match self {
-            JobQueue::Open(q) => q.remove(id),
-            JobQueue::Fair(q) => q.remove(id),
-        }
-    }
-
-    /// Closes the queue and wakes all workers.
-    pub fn close(&self) {
-        match self {
-            JobQueue::Open(q) => q.close(),
-            JobQueue::Fair(q) => q.close(),
-        }
-    }
-
-    /// `true` once closed.
-    pub fn is_closed(&self) -> bool {
-        match self {
-            JobQueue::Open(q) => q.is_closed(),
-            JobQueue::Fair(q) => q.is_closed(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdf_tenant::TenantSpec;
     use std::sync::Arc;
 
+    const TICK: Duration = Duration::from_millis(1);
+
+    fn registry() -> TenantRegistry {
+        TenantRegistry::new(vec![
+            TenantSpec::new("acme", "t-a")
+                .with_weight(2)
+                .with_max_queued(8),
+            TenantSpec::new("zeta", "t-z").with_max_queued(2),
+        ])
+        .unwrap()
+    }
+
     #[test]
-    fn bounded_push_and_fifo_pop() {
-        let q = ShardedQueue::new(2, 2);
-        for id in 0..4 {
-            q.push(id).unwrap();
+    fn fair_queue_dispatches_by_weight() {
+        // Enough backlog on both lanes for two full DRR rounds, inside
+        // each tenant's own `max_queued`.
+        let q = FairQueue::new(64, Some(&registry()));
+        for j in 0..4u64 {
+            q.push(Some("acme"), j).unwrap();
         }
-        assert_eq!(q.push(99), Err(QueueFull));
-        assert_eq!(q.len(), 4);
-        // Worker 0 drains its own shard (even ids) before stealing.
-        assert_eq!(q.pop(0, Duration::from_millis(1)), Some(0));
-        assert_eq!(q.pop(0, Duration::from_millis(1)), Some(2));
-        let stolen: Vec<_> = (0..2)
-            .map(|_| q.pop(0, Duration::from_millis(1)).unwrap())
-            .collect();
-        assert_eq!(stolen, vec![1, 3]);
-        assert_eq!(q.pop(0, Duration::from_millis(1)), None);
-    }
-
-    #[test]
-    fn full_home_shard_spills_to_a_free_one() {
-        let q = ShardedQueue::new(2, 1);
-        q.push(0).unwrap(); // home shard 0
-        q.push(2).unwrap(); // home shard 0 full -> spills to shard 1
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(1, Duration::from_millis(1)), Some(2));
-    }
-
-    #[test]
-    fn remove_and_close() {
-        let q = ShardedQueue::new(3, 4);
-        q.push(7).unwrap();
-        assert!(q.remove(7));
-        assert!(!q.remove(7));
-        q.close();
-        assert!(q.is_closed());
-        assert_eq!(q.pop(0, Duration::from_millis(1)), None);
-    }
-
-    #[test]
-    fn wakes_a_waiting_worker() {
-        let q = Arc::new(ShardedQueue::new(1, 8));
-        let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.pop(0, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        q.push(42).unwrap();
-        assert_eq!(handle.join().unwrap(), Some(42));
-    }
-
-    #[test]
-    fn spill_walks_shards_in_order_and_pops_preserve_it() {
-        // Three capacity-1 shards, all pushes homed on shard 0: the
-        // spill probe must place them 0 -> 1 -> 2, and a worker draining
-        // from shard 0 must see exactly that order (own shard, then
-        // steals in probe order).
-        let q = ShardedQueue::new(3, 1);
-        q.push(0).unwrap(); // shard 0
-        q.push(3).unwrap(); // home 0 full -> shard 1
-        q.push(6).unwrap(); // shards 0,1 full -> shard 2
-        assert_eq!(q.push(9), Err(QueueFull));
-        let order: Vec<_> = (0..3)
-            .map(|_| q.pop(0, Duration::from_millis(1)).unwrap())
-            .collect();
-        assert_eq!(order, vec![0, 3, 6]);
-    }
-
-    #[test]
-    fn steal_skips_empty_shards() {
-        // Worker 1's own shard is empty; its pops must walk past it and
-        // steal everything homed on shard 0, then time out cleanly.
-        let q = ShardedQueue::new(2, 4);
-        q.push(0).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.pop(1, Duration::from_millis(1)), Some(0));
-        assert_eq!(q.pop(1, Duration::from_millis(1)), Some(2));
-        assert_eq!(q.pop(1, Duration::from_millis(1)), None);
-    }
-
-    #[test]
-    fn capacity_one_queue_round_trips() {
-        // The smallest legal queue: one shard, one slot. Push/pop must
-        // cycle indefinitely, and the full case must report QueueFull
-        // (not wedge or overwrite).
-        let q = ShardedQueue::new(1, 1);
-        for round in 0..3u64 {
-            q.push(round).unwrap();
-            assert_eq!(q.push(100 + round), Err(QueueFull));
-            assert_eq!(q.pop(0, Duration::from_millis(1)), Some(round));
+        for j in 0..2u64 {
+            q.push(Some("zeta"), 10 + j).unwrap();
         }
-        assert!(q.is_empty());
+        // acme (weight 2) gets two dispatches per zeta's one.
+        let order: Vec<u64> = (0..6).map(|_| q.pop(TICK).unwrap()).collect();
+        assert_eq!(order, vec![0, 1, 10, 2, 3, 11]);
+        assert_eq!(q.pop(TICK), None);
     }
 
     #[test]
-    fn zero_sized_parameters_are_clamped_to_one() {
-        let q = ShardedQueue::new(0, 0);
-        assert_eq!(q.shards(), 1);
-        q.push(5).unwrap();
-        assert_eq!(q.push(6), Err(QueueFull), "capacity clamps to 1");
-        assert_eq!(q.pop(0, Duration::from_millis(1)), Some(5));
-    }
-
-    mod fair {
-        use super::super::*;
-        use gdf_tenant::TenantSpec;
-        use std::sync::Arc;
-
-        fn registry() -> TenantRegistry {
-            TenantRegistry::new(vec![
-                TenantSpec::new("acme", "t-a")
-                    .with_weight(2)
-                    .with_max_queued(8),
-                TenantSpec::new("zeta", "t-z").with_max_queued(2),
-            ])
-            .unwrap()
-        }
-
-        #[test]
-        fn fair_queue_dispatches_by_weight() {
-            let q = FairQueue::new(1, 64, &registry());
-            for j in 0..6u64 {
-                q.push(Some("acme"), j).unwrap();
-                q.push(Some("zeta"), 10 + j).unwrap();
+    fn open_queue_is_a_bounded_fifo() {
+        // No registry: every ownerless job lands in the one default
+        // lane (weight 1, no quotas), which pops in push order up to
+        // the capacity. Capacity 0 is clamped to 1.
+        for (capacity, ids) in [(4, vec![3, 1, 4, 2]), (0, vec![5])] {
+            let q = FairQueue::new(capacity, None);
+            for &id in &ids {
+                q.push(None, id).unwrap();
             }
-            // acme (weight 2) gets two dispatches per zeta's one.
-            let order: Vec<u64> = (0..6)
-                .map(|_| q.pop(Duration::from_millis(1)).unwrap())
-                .collect();
-            assert_eq!(order, vec![0, 1, 10, 2, 3, 11]);
+            assert_eq!(q.push(None, 99), Err(PushError::Full));
+            assert_eq!(q.len(), ids.len());
+            let order: Vec<u64> = ids.iter().map(|_| q.pop(TICK).unwrap()).collect();
+            assert_eq!(order, ids);
+            assert_eq!(q.pop(TICK), None);
+            assert!(q.is_empty());
         }
+    }
 
-        #[test]
-        fn fair_queue_separates_quota_from_saturation() {
-            let q = FairQueue::new(1, 3, &registry());
-            q.push(Some("zeta"), 1).unwrap();
-            q.push(Some("zeta"), 2).unwrap();
-            // zeta's max_queued=2 is its own problem...
-            assert_eq!(q.push(Some("zeta"), 3), Err(PushError::OverQuota));
-            q.push(Some("acme"), 4).unwrap();
-            // ...while the global bound is everyone's.
-            assert_eq!(q.push(Some("acme"), 5), Err(PushError::Full));
-            assert_eq!(q.len(), 3);
-            assert!(q.remove(2));
-            q.push(Some("zeta"), 3).unwrap();
-        }
+    #[test]
+    fn fair_queue_separates_quota_from_saturation() {
+        let q = FairQueue::new(3, Some(&registry()));
+        q.push(Some("zeta"), 1).unwrap();
+        q.push(Some("zeta"), 2).unwrap();
+        // zeta's max_queued=2 is its own problem...
+        assert_eq!(q.push(Some("zeta"), 3), Err(PushError::OverQuota));
+        q.push(Some("acme"), 4).unwrap();
+        // ...while the global bound is everyone's.
+        assert_eq!(q.push(Some("acme"), 5), Err(PushError::Full));
+        assert_eq!(q.len(), 3);
+        assert!(q.remove(2));
+        assert!(!q.remove(2));
+        q.push(Some("zeta"), 3).unwrap();
+    }
 
-        #[test]
-        fn fair_queue_wakes_a_waiting_worker_and_closes() {
-            let q = Arc::new(FairQueue::new(2, 16, &registry()));
+    #[test]
+    fn fair_queue_wakes_a_waiting_worker_and_closes() {
+        for registry in [None, Some(registry())] {
+            let q = Arc::new(FairQueue::new(16, registry.as_ref()));
             let q2 = Arc::clone(&q);
             let handle = std::thread::spawn(move || q2.pop(Duration::from_secs(5)));
             std::thread::sleep(Duration::from_millis(20));
             q.push(None, 7).unwrap();
             assert_eq!(handle.join().unwrap(), Some(7));
             q.finish(None);
+            // A removed job never dispatches; a closed queue pops
+            // nothing and returns at once.
+            q.push(None, 8).unwrap();
+            assert!(q.remove(8));
             q.close();
             assert!(q.is_closed());
-            assert_eq!(q.pop(Duration::from_millis(1)), None);
-        }
-
-        #[test]
-        fn job_queue_front_is_transparent_in_both_modes() {
-            for queue in [
-                JobQueue::Open(ShardedQueue::new(2, 4)),
-                JobQueue::Fair(FairQueue::new(2, 8, &registry())),
-            ] {
-                queue.push(Some("acme"), 3).unwrap();
-                assert_eq!(queue.len(), 1);
-                assert_eq!(queue.pop(0, Duration::from_millis(1)), Some(3));
-                queue.finish(Some("acme"));
-                assert!(queue.is_empty());
-            }
+            assert_eq!(q.pop(Duration::from_secs(5)), None);
         }
     }
 }

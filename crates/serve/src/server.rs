@@ -31,8 +31,8 @@
 //! down", `503` means "my capacity, try another node". Queued jobs
 //! dispatch through a weighted deficit round-robin scheduler
 //! ([`gdf_tenant::FairScheduler`]) within priority bands, with
-//! deterministic tie-breaks. Without a registry nothing changes: the
-//! server runs the exact pre-tenancy open path.
+//! deterministic tie-breaks. Without a registry every route is open
+//! and every job queues in one FIFO lane of the same scheduler.
 //!
 //! # Determinism over the wire
 //!
@@ -60,20 +60,23 @@ use crate::job::{
     decode_record, encode_record, write_atomic, Job, JobId, JobSpec, JobState, ReportSummary,
     ShardSpec,
 };
-use crate::queue::{FairQueue, JobQueue, PushError, ShardedQueue};
+use crate::queue::{FairQueue, PushError};
 use crate::ServeError;
 use gdf_core::artifact::{encode_config, CircuitSource, PatternSet, RunArtifact};
 use gdf_core::engine::{Atpg, AtpgBuilder, AtpgError, Backend, Limits, Observer, RunConfig};
 use gdf_core::json::{Json, ParseLimits};
+use gdf_core::phase::PhaseSink;
 use gdf_core::session::{Checkpointer, EventObserver, ProgressEvent};
 use gdf_core::ShardArtifact;
 use gdf_netlist::{Circuit, FaultUniverse};
+use gdf_obs::profile::RegistrySink;
 use gdf_obs::{
     capture_begin, capture_take, Counter, Gauge, Histogram, ProfileData, ProfileHandle, Profiler,
     Registry, TraceCtx, Tracer, PHASE_HELP, PHASE_METRIC, TRACE_HEADER,
 };
 use gdf_store::{CacheKey, Store};
 use gdf_tenant::{TenantRegistry, TokenBucket};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -83,8 +86,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long an idle worker blocks on its shard before re-checking
-/// shutdown and the other shards.
+/// How long an idle worker blocks on the queue before re-checking
+/// shutdown and the recovery backlog.
 const WORKER_POLL: Duration = Duration::from_millis(50);
 /// How long an `/events` subscriber blocks per wait round.
 const EVENT_POLL: Duration = Duration::from_secs(2);
@@ -124,9 +127,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// The persistent job directory.
     pub dir: PathBuf,
-    /// Worker threads (= queue shards), clamped to ≥ 1.
+    /// Worker threads, clamped to ≥ 1.
     pub workers: usize,
-    /// Queued jobs accepted per shard before `503`, clamped to ≥ 1.
+    /// Queued jobs accepted per worker, clamped to ≥ 1: the queue holds
+    /// at most `workers × queue_capacity` jobs before `503`.
     pub queue_capacity: usize,
     /// Default checkpoint cadence for jobs that do not specify one.
     pub checkpoint_every: usize,
@@ -141,12 +145,12 @@ pub struct ServeConfig {
     /// route behind bearer-token auth, enforces per-tenant quotas and
     /// rate limits (`429 + Retry-After`), and dispatches through the
     /// weighted-fair scheduler. `None` (the default) is the open
-    /// pre-tenancy server, byte-for-byte.
+    /// server: no auth, no quotas, one FIFO lane.
     pub tenants: Option<TenantRegistry>,
 }
 
 impl ServeConfig {
-    /// Defaults: 4 workers, 64 queued jobs per shard, checkpoint every
+    /// Defaults: 4 workers, 64 queued jobs per worker, checkpoint every
     /// 16 outcomes, 8 MiB bodies.
     pub fn new(addr: impl Into<String>, dir: impl Into<PathBuf>) -> Self {
         ServeConfig {
@@ -167,7 +171,7 @@ impl ServeConfig {
         self
     }
 
-    /// Replaces the per-shard queue capacity.
+    /// Replaces the per-worker queue capacity.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
@@ -230,7 +234,7 @@ struct Metrics {
 impl Metrics {
     fn new(registry: &Registry) -> Self {
         // Registration order is render order; keep the historical one.
-        let queue_depth = registry.gauge("gdf_queue_depth", "Jobs waiting in the sharded queue.");
+        let queue_depth = registry.gauge("gdf_queue_depth", "Jobs waiting in the job queue.");
         let jobs_running = registry.gauge(
             "gdf_jobs_running",
             "Jobs currently being driven by a worker.",
@@ -394,7 +398,9 @@ struct ServerState {
     dir: PathBuf,
     jobs: Mutex<BTreeMap<JobId, Arc<Job>>>,
     next_id: AtomicU64,
-    queue: JobQueue,
+    queue: FairQueue,
+    /// Worker threads in the pool.
+    workers: usize,
     /// `Some` when a tenant registry is loaded; `None` is open mode.
     tenancy: Option<Tenancy>,
     /// Recovered in-flight jobs that did not fit the bounded queue at
@@ -418,6 +424,9 @@ struct ServerState {
     registry: Registry,
     /// Tracing + profiling enabled ([`ServeConfig::obs`]).
     obs: bool,
+    /// The sink folding this server's phase spans into `registry`;
+    /// `None` when `obs` is off.
+    phase_sink: Option<Arc<RegistrySink>>,
     /// The content-addressed result cache under `<dir>/store`. Always
     /// on: publishing costs one extra write per completed run, and a hit
     /// saves an entire generation run.
@@ -454,6 +463,25 @@ impl ServerState {
             .cloned()
     }
 
+    /// The queue lane of `job`: its owner in tenant mode. Open mode
+    /// queues every job in the ownerless lane, jobs a tenanted server
+    /// left on disk included.
+    fn lane<'a>(&self, job: &'a Job) -> Option<&'a str> {
+        self.tenancy.as_ref().and(job.spec.tenant.as_deref())
+    }
+
+    /// Routes the phase spans of the calling thread, one of this
+    /// server's workers or connection handlers, to this server's
+    /// registry.
+    fn own_phase_spans(&self) {
+        THREAD_PHASE_SINK.with(|s| *s.borrow_mut() = self.phase_sink.clone());
+    }
+
+    /// Whether a drain, not the client's cancel, is what stops `job`.
+    fn drains(&self, job: &Job) -> bool {
+        self.draining.load(Ordering::Acquire) && !job.cancel.load(Ordering::Acquire)
+    }
+
     fn watermark_path(dir: &std::path::Path) -> PathBuf {
         dir.join("next-id")
     }
@@ -476,8 +504,9 @@ impl ServerState {
     fn drain_backlog(&self) {
         let mut backlog = self.backlog.lock().expect("backlog poisoned");
         while let Some(&id) = backlog.front() {
-            let tenant = self.job(id).and_then(|job| job.spec.tenant.clone());
-            if self.queue.push(tenant.as_deref(), id).is_err() {
+            let job = self.job(id);
+            let lane = job.as_deref().and_then(|job| self.lane(job));
+            if self.queue.push(lane, id).is_err() {
                 return;
             }
             backlog.pop_front();
@@ -517,6 +546,27 @@ impl ServerState {
     }
 }
 
+thread_local! {
+    /// The phase sink of the server owning the current thread.
+    static THREAD_PHASE_SINK: RefCell<Option<Arc<RegistrySink>>> = const { RefCell::new(None) };
+}
+
+/// The process-global phase sink every obs-enabled server installs at
+/// start. One process may host several servers (tests, the benchmark,
+/// an in-process fleet), so a span goes to the registry of the server
+/// owning the recording thread; spans from threads no server owns (the
+/// engine's spawned generation threads) go to the server started last.
+struct ServerPhaseSink(Arc<RegistrySink>);
+
+impl PhaseSink for ServerPhaseSink {
+    fn record(&self, phase: &'static str, started: Instant, duration: Duration) {
+        THREAD_PHASE_SINK.with(|own| match own.borrow().as_ref() {
+            Some(sink) => sink.record(phase, started, duration),
+            None => self.0.record(phase, started, duration),
+        });
+    }
+}
+
 /// The running server; see [`JobServer::start`].
 pub struct JobServer {
     state: Arc<ServerState>,
@@ -551,31 +601,28 @@ impl JobServer {
             HTTP_HELP,
             &[("method", "GET"), ("path", "/metrics"), ("status", "200")],
         );
-        if config.obs {
-            // Route engine phase spans (parse/generate/fill/fsim/…)
-            // into this registry. The sink is process-global: with
-            // several in-process servers the last one started wins,
-            // which the tests and the bench harness account for.
-            gdf_obs::install_phase_sink(registry.clone());
+        // Route engine phase spans (parse/generate/fill/fsim/…) into
+        // this registry; see `ServerPhaseSink` for how several servers
+        // in one process share the process-global sink.
+        let phase_sink = config
+            .obs
+            .then(|| Arc::new(RegistrySink::new(registry.clone())));
+        if let Some(sink) = &phase_sink {
+            gdf_core::phase::set_phase_sink(Arc::new(ServerPhaseSink(Arc::clone(sink))));
         }
         // Tenancy registers its per-tenant families after every
         // pre-existing one, so open-mode scrapes render unchanged.
         let tenancy = config.tenants.clone().map(|r| Tenancy::new(r, &registry));
-        let queue = match &tenancy {
-            // The fair queue bounds *total* queued jobs at the same
-            // global capacity open mode has (workers × per-shard cap).
-            Some(t) => JobQueue::Fair(FairQueue::new(
-                workers,
-                workers * config.queue_capacity.max(1),
-                &t.registry,
-            )),
-            None => JobQueue::Open(ShardedQueue::new(workers, config.queue_capacity.max(1))),
-        };
+        let queue = FairQueue::new(
+            workers * config.queue_capacity.max(1),
+            tenancy.as_ref().map(|t| &t.registry),
+        );
         let state = Arc::new(ServerState {
             dir: config.dir.clone(),
             jobs: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
             queue,
+            workers,
             tenancy,
             backlog: Mutex::new(std::collections::VecDeque::new()),
             default_checkpoint_every: config.checkpoint_every.max(1),
@@ -586,6 +633,7 @@ impl JobServer {
             metrics,
             registry,
             obs: config.obs,
+            phase_sink,
             store,
         });
         recover_jobs(&state)?;
@@ -596,7 +644,7 @@ impl JobServer {
             worker_handles.push(
                 std::thread::Builder::new()
                     .name(format!("gdf-serve-worker-{index}"))
-                    .spawn(move || worker_loop(state, index))
+                    .spawn(move || worker_loop(state))
                     .map_err(|e| ServeError::Io(format!("spawn worker: {e}")))?,
             );
         }
@@ -749,7 +797,7 @@ fn recover_jobs(state: &Arc<ServerState>) -> Result<(), ServeError> {
             // recovery is deterministic. Overflow beyond the queue bound
             // goes to the backlog, which idle workers drain.
             job.status.lock().expect("job status poisoned").state = JobState::Queued;
-            if state.queue.push(job.spec.tenant.as_deref(), id).is_err() {
+            if state.queue.push(state.lane(&job), id).is_err() {
                 state
                     .backlog
                     .lock()
@@ -796,6 +844,7 @@ impl Observer for DrainWatch {
 /// -derived — never wall-clock random) and, for full jobs, a profiler
 /// handle. Inert when [`ServeConfig::obs`] is off. Strictly a side
 /// channel: nothing here touches the canonical artifact bytes.
+#[derive(Default)]
 struct JobObs {
     tracer: Option<Tracer>,
     profile: Option<ProfileHandle>,
@@ -808,10 +857,7 @@ impl JobObs {
     /// reach only the registry histograms).
     fn begin(state: &ServerState, job: &Job) -> JobObs {
         if !state.obs {
-            return JobObs {
-                tracer: None,
-                profile: None,
-            };
+            return JobObs::default();
         }
         capture_begin();
         let ctx = job.status().trace.unwrap_or_else(|| {
@@ -883,13 +929,18 @@ impl JobObs {
     }
 }
 
-fn worker_loop(state: Arc<ServerState>, index: usize) {
+/// A worker: feeds the recovery backlog into the queue, then runs the
+/// next dispatched job. Idle workers all wait on the queue's one
+/// condvar, so a push wakes a free worker at once; [`WORKER_POLL`] only
+/// bounds how late a stop or a free slot for the backlog is noticed.
+fn worker_loop(state: Arc<ServerState>) {
+    state.own_phase_spans();
     loop {
         if state.stopping.load(Ordering::Acquire) {
             return;
         }
         state.drain_backlog();
-        let Some(id) = state.queue.pop(index, WORKER_POLL) else {
+        let Some(id) = state.queue.pop(WORKER_POLL) else {
             if state.queue.is_closed() {
                 return;
             }
@@ -899,9 +950,9 @@ fn worker_loop(state: Arc<ServerState>, index: usize) {
         state.metrics.busy.fetch_add(1, Ordering::AcqRel);
         run_job(&state, &job);
         state.metrics.busy.fetch_sub(1, Ordering::AcqRel);
-        // Release the fair-scheduler dispatch slot (no-op in open
-        // mode): the owner's lane may have been at `max_running`.
-        state.queue.finish(job.spec.tenant.as_deref());
+        // Release the dispatch slot: the owner's lane may have been at
+        // `max_running`.
+        state.queue.finish(state.lane(&job));
     }
 }
 
@@ -914,51 +965,93 @@ fn publish_run(state: &ServerState, spec: &JobSpec, artifact: &RunArtifact) {
     }
 }
 
+/// How a job body ended, as [`end_job`] receives it.
+enum Outcome {
+    /// Finished; full jobs carry their report summary, shard jobs none.
+    Done(Option<ReportSummary>),
+    /// Stopped at a fault boundary, or before starting: by the client's
+    /// cancel, or by a server stop or drain, which [`end_job`] tells
+    /// apart.
+    Stopped,
+    /// Failed before or during the run, with the error message.
+    Failed(String),
+}
+
+/// Runs one dispatched job: parses its circuit, runs the full or the
+/// shard body, and ends the job through [`end_job`].
 fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
+    let started = Instant::now();
+    let mut obs = JobObs::default();
+    let outcome = if state.stopping.load(Ordering::Acquire)
+        || state.draining.load(Ordering::Acquire)
+        || job.cancel.load(Ordering::Acquire)
+    {
+        Outcome::Stopped
+    } else {
+        job.status.lock().expect("job status poisoned").state = JobState::Running;
+        state.persist(job);
+        obs = JobObs::begin(state, job);
+        let resolved = {
+            let _span = gdf_core::phase::start("parse");
+            job.spec.source.resolve()
+        };
+        match resolved {
+            Err(e) => Outcome::Failed(e.to_string()),
+            // Shard jobs take the pure-generation path: target the
+            // tagged universe range, checkpoint a shard document, never
+            // touch the credit RNG (see `gdf_core::shard` for the
+            // contract).
+            Ok(circuit) => match &job.spec.shard {
+                Some(shard) => run_shard(state, job, &circuit, shard),
+                None => run_full(state, job, &circuit, &mut obs),
+            },
+        }
+    };
+    end_job(state, job, obs, started, outcome);
+}
+
+/// The one terminal path of a dispatched job: counts it, finishes its
+/// observation and moves it to its terminal state — unless the server,
+/// not the client, stopped it. A server stop leaves every job exactly
+/// as it is (the crash path), and a drain leaves the jobs it stopped:
+/// their last checkpoint and their `queued`/`running` record stay on
+/// disk, and a restarted server (or a stealing coordinator) resumes
+/// them.
+fn end_job(state: &ServerState, job: &Job, obs: JobObs, started: Instant, outcome: Outcome) {
     if state.stopping.load(Ordering::Acquire) {
         return;
     }
-    if state.draining.load(Ordering::Acquire) {
-        // Draining: start nothing new. The job's `queued` record is
-        // already on disk; a restarted server (or a stealing
-        // coordinator) picks it up.
-        return;
-    }
-    if job.cancel.load(Ordering::Acquire) {
-        state.finalize(job, JobState::Cancelled, None, None);
-        return;
-    }
-    let started = Instant::now();
-    job.status.lock().expect("job status poisoned").state = JobState::Running;
-    state.persist(job);
-    let mut obs = JobObs::begin(state, job);
-
-    let spec = &job.spec;
-    let resolved = {
-        let _span = gdf_core::phase::start("parse");
-        spec.source.resolve()
-    };
-    let circuit = match resolved {
-        Ok(circuit) => circuit,
-        Err(e) => {
+    let (end, error, report) = match outcome {
+        Outcome::Stopped if state.drains(job) => return,
+        Outcome::Stopped => (JobState::Cancelled, None, None),
+        Outcome::Done(report) => {
+            state.metrics.record_done(started.elapsed());
+            (JobState::Done, None, report)
+        }
+        Outcome::Failed(error) => {
             state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-            return;
+            (JobState::Failed, Some(error), None)
         }
     };
-    // Shard jobs take the pure-generation path: target the tagged
-    // universe range, checkpoint a shard document, never touch the
-    // credit RNG (see `gdf_core::shard` for the contract).
-    if let Some(shard) = spec.shard.clone() {
-        run_shard_job(state, job, &circuit, &shard, started, obs);
-        return;
-    }
+    obs.finish(state, job, started);
+    state.finalize(job, end, error, report);
+}
+
+/// The full-run body: adopt a complete artifact or resume a checkpoint
+/// from an earlier attempt, run the engine with the job's observers,
+/// then save the artifact and publish it to the result cache.
+fn run_full(
+    state: &Arc<ServerState>,
+    job: &Arc<Job>,
+    circuit: &Circuit,
+    obs: &mut JobObs,
+) -> Outcome {
+    let spec = &job.spec;
     let config = spec.config;
     let artifact_path = Job::artifact_path(&state.dir, job.id);
 
     let make_builder = || -> AtpgBuilder<'_> {
-        Atpg::builder(&circuit)
+        Atpg::builder(circuit)
             .backend(config.backend)
             .model(config.model)
             .sensitization(config.sensitization)
@@ -975,15 +1068,9 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
     if artifact_path.exists() {
         match RunArtifact::load(&artifact_path) {
             Ok(artifact) if artifact.config() == config && !artifact.partial => {
-                let report = artifact.report().map(ReportSummary::from);
-                {
-                    let _span = gdf_core::phase::start("publish");
-                    publish_run(state, spec, &artifact);
-                }
-                state.metrics.record_done(started.elapsed());
-                obs.finish(state, job, started);
-                state.finalize(job, JobState::Done, None, report);
-                return;
+                let _span = gdf_core::phase::start("publish");
+                publish_run(state, spec, &artifact);
+                return Outcome::Done(artifact.report().map(ReportSummary::from));
             }
             Ok(artifact) if artifact.config() == config => {
                 match make_builder().resume_from(&artifact) {
@@ -1037,80 +1124,28 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
     // job rather than a worker panic.
     let mut engine = match builder.try_build() {
         Ok(engine) => engine,
-        Err(e) => {
-            state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-            return;
-        }
+        Err(e) => return Outcome::Failed(e.to_string()),
     };
     let run = engine.run();
-
-    if state.stopping.load(Ordering::Acquire) {
-        // Crash-style stop: the last checkpoint and the `running` record
-        // stay exactly as they are; the next server resumes from them.
-        return;
-    }
-    if state.draining.load(Ordering::Acquire)
-        && !job.cancel.load(Ordering::Acquire)
-        && matches!(run.stopped, Some(AtpgError::Cancelled))
-    {
-        // Drain stopped the run at a fault boundary (not a client
-        // cancel): keep the checkpoint and `running` record so a
-        // restart resumes; the Checkpointer's cadence bounds the
-        // recomputed tail.
-        return;
-    }
     match run.stopped {
-        None => {
-            let artifact = RunArtifact::from_run(&circuit, &run, config, Some(spec.source.clone()));
-            let saved = {
-                let _span = gdf_core::phase::start("publish");
-                let saved = artifact.save(&artifact_path);
-                if saved.is_ok() {
-                    publish_run(state, spec, &artifact);
-                }
-                saved
-            };
-            match saved {
-                Ok(()) => {
-                    let report = ReportSummary::from(&run.report);
-                    state.metrics.record_done(started.elapsed());
-                    obs.finish(state, job, started);
-                    state.finalize(job, JobState::Done, None, Some(report));
-                }
-                Err(e) => {
-                    state.metrics.failed.inc();
-                    obs.finish(state, job, started);
-                    state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-                }
-            }
-        }
-        Some(AtpgError::Cancelled) => {
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Cancelled, None, None);
-        }
-        Some(e) => {
-            state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-        }
+        None => {}
+        Some(AtpgError::Cancelled) => return Outcome::Stopped,
+        Some(e) => return Outcome::Failed(e.to_string()),
     }
+    let artifact = RunArtifact::from_run(circuit, &run, config, Some(spec.source.clone()));
+    let _span = gdf_core::phase::start("publish");
+    if let Err(e) = artifact.save(&artifact_path) {
+        return Outcome::Failed(e.to_string());
+    }
+    publish_run(state, spec, &artifact);
+    Outcome::Done(Some(ReportSummary::from(&run.report)))
 }
 
-/// The shard-job work loop: resume the shard document if one is on
-/// disk, target every remaining fault of the range, checkpoint every
-/// `checkpoint_every` outcomes, and finalize like an ordinary job —
-/// except the artifact is a `gdf-shard` document and there is no
-/// report (a shard classifies nothing; the merge does).
-fn run_shard_job(
-    state: &Arc<ServerState>,
-    job: &Arc<Job>,
-    circuit: &Circuit,
-    shard: &ShardSpec,
-    started: Instant,
-    obs: JobObs,
-) {
+/// The shard-run body: resume the shard document if one is on disk,
+/// target every remaining fault of the range, checkpoint every
+/// `checkpoint_every` outcomes, and save the `gdf-shard` document.
+/// There is no report: a shard classifies nothing; the merge does.
+fn run_shard(state: &ServerState, job: &Job, circuit: &Circuit, shard: &ShardSpec) -> Outcome {
     let spec = &job.spec;
     let artifact_path = Job::artifact_path(&state.dir, job.id);
     let mut artifact = match ShardArtifact::new(
@@ -1121,12 +1156,7 @@ fn run_shard_job(
         shard.hi,
     ) {
         Ok(artifact) => artifact,
-        Err(e) => {
-            state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-            return;
-        }
+        Err(e) => return Outcome::Failed(e.to_string()),
     };
     // A pre-existing shard document under the same spec is a checkpoint
     // from an interrupted attempt: resume at its first hole. Foreign
@@ -1172,60 +1202,37 @@ fn run_shard_job(
             || job.cancel.load(Ordering::Acquire))
     });
 
-    if state.stopping.load(Ordering::Acquire) {
-        // Crash-style stop, same as full jobs: last checkpoint + the
-        // `running` record stay; the next server resumes the shard.
-        return;
-    }
-    if state.draining.load(Ordering::Acquire)
-        && !job.cancel.load(Ordering::Acquire)
-        && matches!(result, Ok(false))
-    {
-        // Drain stopped the shard between outcomes: persist a final
-        // checkpoint (shard documents resume at their first hole), keep
-        // the `running` record, and let the restart or the stealing
-        // coordinator finish the range.
-        if let Err(e) = artifact.save(&artifact_path, circuit) {
-            eprintln!("gdf-serve: job {} drain checkpoint failed: {e}", job.id);
-        }
-        return;
-    }
     match result {
-        Ok(true) => {
-            let saved = {
-                let _span = gdf_core::phase::start("publish");
-                artifact.save(&artifact_path, circuit)
-            };
-            match saved {
-                Ok(()) => {
-                    job.events.push(ProgressEvent::Finished {
-                        tested: 0,
-                        untestable: 0,
-                        aborted: 0,
-                        patterns: 0,
-                        sequences: 0,
-                    });
-                    state.metrics.record_done(started.elapsed());
-                    obs.finish(state, job, started);
-                    state.finalize(job, JobState::Done, None, None);
-                }
-                Err(e) => {
-                    state.metrics.failed.inc();
-                    obs.finish(state, job, started);
-                    state.finalize(job, JobState::Failed, Some(e.to_string()), None);
+        Ok(true) => {}
+        Ok(false) => {
+            if state.drains(job) {
+                // A drain stopped the shard between outcomes: persist a
+                // final checkpoint (shard documents resume at their
+                // first hole) for the restart or the stealing
+                // coordinator.
+                if let Err(e) = artifact.save(&artifact_path, circuit) {
+                    eprintln!("gdf-serve: job {} drain checkpoint failed: {e}", job.id);
                 }
             }
+            return Outcome::Stopped;
         }
-        Ok(false) => {
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Cancelled, None, None);
-        }
-        Err(e) => {
-            state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-        }
+        Err(e) => return Outcome::Failed(e.to_string()),
     }
+    let saved = {
+        let _span = gdf_core::phase::start("publish");
+        artifact.save(&artifact_path, circuit)
+    };
+    if let Err(e) = saved {
+        return Outcome::Failed(e.to_string());
+    }
+    job.events.push(ProgressEvent::Finished {
+        tested: 0,
+        untestable: 0,
+        aborted: 0,
+        patterns: 0,
+        sequences: 0,
+    });
+    Outcome::Done(None)
 }
 
 // ---------------------------------------------------------------------
@@ -1260,6 +1267,7 @@ fn accept_loop(state: Arc<ServerState>, listener: TcpListener) {
             .name("gdf-serve-conn".into())
             .spawn(move || {
                 let _guard = guard;
+                state.own_phase_spans();
                 handle_connection(state, stream);
             });
         // On spawn failure the guard moved into the closure is gone with
@@ -1394,7 +1402,7 @@ fn handle_health(state: &Arc<ServerState>) -> Response {
             ("jobs".into(), Json::Num(jobs.len() as f64)),
             ("running".into(), Json::Num(active as f64)),
             ("queued".into(), Json::Num(state.queue.len() as f64)),
-            ("workers".into(), Json::Num(state.queue.shards() as f64)),
+            ("workers".into(), Json::Num(state.workers as f64)),
         ]),
     )
 }
@@ -1418,7 +1426,7 @@ fn handle_metrics(state: &Arc<ServerState>) -> Response {
         }
         (running, queued)
     };
-    let workers = state.queue.shards();
+    let workers = state.workers;
     let busy = state.metrics.busy.load(Ordering::Acquire).min(workers);
     let store_stats = state.store.stats().unwrap_or_default();
     let m = &state.metrics;
@@ -1427,11 +1435,7 @@ fn handle_metrics(state: &Arc<ServerState>) -> Response {
     m.jobs_queued.set(queued_jobs as f64);
     m.workers.set(workers as f64);
     m.workers_busy.set(busy as f64);
-    m.worker_utilization.set(if workers == 0 {
-        0.0
-    } else {
-        busy as f64 / workers as f64
-    });
+    m.worker_utilization.set(busy as f64 / workers as f64);
     m.draining.set(if state.draining.load(Ordering::Acquire) {
         1.0
     } else {
@@ -1439,10 +1443,10 @@ fn handle_metrics(state: &Arc<ServerState>) -> Response {
     });
     m.store_bytes.set(store_stats.bytes as f64);
     m.store_objects.set(store_stats.objects as f64);
-    if let (Some(t), JobQueue::Fair(q)) = (&state.tenancy, &state.queue) {
+    if let Some(t) = &state.tenancy {
         // Lanes the scheduler has not seen yet keep their pre-registered
         // zero; the ownerless "" lane has no gauge and is skipped.
-        for (tenant, queued, running) in q.snapshot() {
+        for (tenant, queued, running) in state.queue.snapshot() {
             if let Some(g) = t.queued.get(&tenant) {
                 g.set(queued as f64);
             }
@@ -1612,7 +1616,7 @@ fn handle_submit(state: &Arc<ServerState>, request: &Request, tenant: Option<&st
         }
     }
     if !served_from_cache {
-        if let Err(e) = state.queue.push(job.spec.tenant.as_deref(), id) {
+        if let Err(e) = state.queue.push(state.lane(&job), id) {
             state.jobs.lock().expect("job store poisoned").remove(&id);
             // A subscriber that raced onto /jobs/<id>/events in the
             // insert window must see the stream end, not keepalives

@@ -32,7 +32,6 @@
 //! The packed sweeps share [`SimScratch`], a bundle of reusable node-value
 //! buffers: per-sequence hot loops allocate nothing after warm-up.
 
-pub mod event;
 pub mod fausim;
 pub mod goodsim;
 pub mod grading;
@@ -41,7 +40,6 @@ pub mod tdsim;
 pub mod tfsim;
 pub mod waveform;
 
-pub use event::EventSimulator;
 pub use fausim::{Fausim, PropagationOutcome};
 pub use goodsim::{GoodSimulator, ParallelSimulator};
 pub use grading::{grade_filled_sequence, grade_filled_sequence_transition, GradeScratch};
@@ -62,5 +60,4 @@ const _: () = {
     assert_sync_simulators::<GoodSimulator<'_>>();
     assert_sync_simulators::<ParallelSimulator<'_>>();
     assert_sync_simulators::<PackedGoodSim<'_>>();
-    assert_sync_simulators::<EventSimulator<'_>>();
 };

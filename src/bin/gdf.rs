@@ -105,7 +105,7 @@ OPTIONS:
     --diff                                        (report) compare two runs
     --addr <HOST:PORT>                            (serve/remote) server address
     --workers <N>                                 (serve) worker pool size
-    --queue-capacity <N>                          (serve) queued jobs per shard
+    --queue-capacity <N>                          (serve) queued jobs per worker
     --tenants <FILE>                              (serve) tenants.json registry:
                                                   bearer auth + quotas + fair sched
     --token <TOKEN>                               (remote/campaign) tenant bearer token

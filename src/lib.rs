@@ -23,10 +23,11 @@
 //!   (`gdf run` / `resume` / `grade` / `campaign` / `report`) drives all
 //!   of it from the command line over `.bench` files and JSON artifacts;
 //! * [`serve`] — the **job server**: a hand-rolled HTTP/1.1 service on
-//!   `std::net` with a bounded sharded queue, a fixed worker pool,
+//!   `std::net` with a bounded job queue, a fixed worker pool,
 //!   streaming progress events and checkpoint-backed crash recovery
 //!   (`gdf serve`, with `gdf submit` / `status` / `fetch` / `cancel` as
-//!   its remote controls);
+//!   its remote controls). It drains gracefully on `SIGTERM`: stop
+//!   accepting, checkpoint running jobs, persist the queue, exit 0;
 //! * [`fleet`] — the **distributed campaign coordinator**: shards one
 //!   campaign across N `gdf-serve` nodes by circuit and fault-universe
 //!   range, with a persistent schema-versioned plan (`fleet.json`),
@@ -42,14 +43,6 @@
 //!   skip already-computed shards — plus **bloom-gated campaign
 //!   compaction** (`gdf compact`) emitting one global compacted pattern
 //!   document verified by re-grading;
-//! * [`chaos`] — **deterministic fault injection** for the persistence
-//!   and socket layers: a seeded schedule drives torn writes, stale
-//!   temp files, `ENOSPC`, partial reads (via the `core::io` artifact
-//!   facade) and dropped/delayed/truncated/black-holed connections (via
-//!   a TCP proxy), so the recovery guarantees are exercised over the
-//!   whole failure space — see `tests/chaos_*.rs`. `gdf serve` also
-//!   drains gracefully on `SIGTERM`: stop accepting, checkpoint running
-//!   jobs, persist the queue, exit 0;
 //! * [`obs`] — **observability**: the unified metrics registry
 //!   (counters, gauges, log-bucketed histograms with exact quantiles,
 //!   one Prometheus text encoder behind `GET /metrics`), digest-derived
@@ -65,7 +58,7 @@
 //!   running, requests/second via a hand-rolled token bucket), priority
 //!   classes, and a weighted deficit round-robin scheduler with
 //!   deterministic tie-breaks. `gdf serve --tenants FILE` turns it on;
-//!   without a registry the server runs open, exactly as before. Over-
+//!   without a registry the server runs open, in one FIFO lane. Over-
 //!   quota submissions get `429 + Retry-After` (the tenant's problem),
 //!   saturation keeps `503` (the server's problem), and per-tenant
 //!   `gdf_tenant_*` metrics join `/metrics` and `gdf top`. The
@@ -115,7 +108,6 @@
 //! the full old-to-new mapping).
 
 pub use gdf_algebra as algebra;
-pub use gdf_chaos as chaos;
 pub use gdf_core as core;
 pub use gdf_fleet as fleet;
 pub use gdf_netlist as netlist;

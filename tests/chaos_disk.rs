@@ -6,9 +6,9 @@
 //! [`ChaosGuard`], which serializes them against each other; the chaos
 //! root confines injection to each test's own directory.
 
-use gdf::chaos::{ChaosDisk, ChaosGuard, ChaosSchedule};
 use gdf::core::{Atpg, Backend, Campaign, CampaignReport, CircuitSource, RunArtifact, RunConfig};
 use gdf::netlist::suite;
+use gdf_chaos::{ChaosDisk, ChaosGuard, ChaosSchedule};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 

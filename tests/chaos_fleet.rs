@@ -8,11 +8,11 @@
 //! a `gdf serve` process takes `kill -TERM`, drains, exits 0, and a
 //! restarted server resumes the interrupted job to completion.
 
-use gdf::chaos::{ChaosDisk, ChaosGuard, ChaosProxy, ChaosSchedule};
 use gdf::core::{Atpg, Backend, CircuitSource, RunArtifact, RunConfig};
 use gdf::fleet::{Coordinator, FleetPlan};
 use gdf::netlist::suite;
 use gdf::serve::{JobServer, ServeConfig};
+use gdf_chaos::{ChaosDisk, ChaosGuard, ChaosProxy, ChaosSchedule};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -8,11 +8,11 @@
 //! behind a [`ChaosProxy`] and asserts the job API converges to the
 //! same artifact bytes a calm network produces.
 
-use gdf::chaos::{ChaosProxy, ChaosSchedule};
 use gdf::core::{Atpg, Backend, CircuitSource, RunArtifact, RunConfig};
 use gdf::netlist::suite;
 use gdf::serve::server::submission_for_suite;
 use gdf::serve::{Client, JobServer, ServeConfig, ServeError};
+use gdf_chaos::{ChaosProxy, ChaosSchedule};
 use std::io::Write;
 use std::net::TcpListener;
 use std::path::PathBuf;

@@ -10,12 +10,12 @@
 //!    but every job still completes to artifact bytes identical to a
 //!    clean local run. Tracing is strictly a side channel.
 
-use gdf::chaos::{ChaosDisk, ChaosGuard, ChaosSchedule};
 use gdf::core::{Atpg, Backend, CircuitSource, RunArtifact, RunConfig};
 use gdf::netlist::suite;
 use gdf::obs::{chrome_trace, TraceCtx, TraceEvent};
 use gdf::serve::server::submission_for_suite;
 use gdf::serve::{Client, JobServer, ServeConfig};
+use gdf_chaos::{ChaosDisk, ChaosGuard, ChaosSchedule};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;

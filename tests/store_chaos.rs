@@ -8,8 +8,8 @@
 //! corrupt verdict) re-reads raw, so injected read faults can degrade
 //! throughput but never delete live data.
 
-use gdf::chaos::{ChaosDisk, ChaosGuard, ChaosSchedule};
 use gdf::store::{Digest, Store};
+use gdf_chaos::{ChaosDisk, ChaosGuard, ChaosSchedule};
 use std::path::PathBuf;
 use std::sync::Arc;
 
