@@ -24,9 +24,18 @@
 //! Only the AND and inverter tables are primitive (the paper's Tables 1 and
 //! 2); OR/NAND/NOR/XOR/XNOR are derived by De Morgan's rules, exactly as the
 //! paper prescribes.
+//!
+//! [`DelaySet`] is the generic [`ValueSet`] over these eight values; this
+//! module adds only its delay-specific constants and predicates. The
+//! set-level implications [`eval_gate_sets`] and [`narrow_inputs`] are the
+//! generic ones of [`crate::set`], driven by this module's AND/OR/XOR
+//! tables.
 
+use crate::set::{CoreOp, SetValue, ValueSet};
 use gdf_netlist::GateKind;
 use std::fmt;
+
+pub use crate::set::{eval_gate_sets, narrow_inputs};
 
 /// One value of the 8-valued robust delay algebra.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -298,6 +307,27 @@ pub fn eval2(kind: GateKind, a: DelayValue, b: DelayValue) -> DelayValue {
 // Value sets
 // ---------------------------------------------------------------------------
 
+impl SetValue for DelayValue {
+    const ALL: &'static [Self] = &DelayValue::ALL;
+
+    fn index(self) -> u8 {
+        self as u8
+    }
+
+    fn not(self) -> Self {
+        DelayValue::not(self)
+    }
+
+    fn core2(op: CoreOp, a: Self, b: Self) -> Self {
+        match op {
+            CoreOp::And => and_n(&[a, b]),
+            // `or_n` without its scratch allocation.
+            CoreOp::Or => and_n(&[a.not(), b.not()]).not(),
+            CoreOp::Xor => xor_n(&[a, b]),
+        }
+    }
+}
+
 /// A set of still-possible [`DelayValue`]s, stored as a bitmask.
 ///
 /// This is the state the paper's implication engine maintains per gate.
@@ -312,99 +342,26 @@ pub fn eval2(kind: GateKind, a: DelayValue, b: DelayValue) -> DelayValue {
 /// assert!(!s.contains(DelayValue::H0));
 /// assert_eq!(s.len(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DelaySet(u8);
+pub type DelaySet = ValueSet<DelayValue>;
 
 impl DelaySet {
-    /// The empty set (a conflict).
-    pub const EMPTY: DelaySet = DelaySet(0);
-    /// All eight values.
-    pub const ALL: DelaySet = DelaySet(0xFF);
     /// All values except the fault-carrying ones — the domain of every
     /// signal outside the fault's output cone.
-    pub const CLEAN: DelaySet = DelaySet(0b0011_1111);
+    pub const CLEAN: DelaySet = DelaySet::from_bits(0b0011_1111);
     /// `{0, 1, R, F}` — hazard-free, non-carrying. The domain of primary
     /// inputs and flip-flop outputs (both change at most once per frame
     /// pair).
-    pub const HAZARD_FREE: DelaySet = DelaySet(0b0000_1111);
+    pub const HAZARD_FREE: DelaySet = DelaySet::from_bits(0b0000_1111);
     /// `{0, 1}` — steady hazard-free values.
-    pub const STEADY_CLEAN: DelaySet = DelaySet(0b0000_0011);
+    pub const STEADY_CLEAN: DelaySet = DelaySet::from_bits(0b0000_0011);
     /// `{Rc, Fc}` — the fault-carrying values.
-    pub const CARRYING: DelaySet = DelaySet(0b1100_0000);
+    pub const CARRYING: DelaySet = DelaySet::from_bits(0b1100_0000);
     /// `{R, F}` — clean transitions.
-    pub const TRANSITIONS: DelaySet = DelaySet(0b0000_1100);
-
-    /// The singleton set `{v}`.
-    pub fn singleton(v: DelayValue) -> DelaySet {
-        DelaySet(1 << v.index())
-    }
-
-    /// Builds a set from an iterator of values.
-    pub fn from_values<I: IntoIterator<Item = DelayValue>>(values: I) -> DelaySet {
-        let mut s = DelaySet::EMPTY;
-        for v in values {
-            s.insert(v);
-        }
-        s
-    }
-
-    /// The raw bitmask.
-    pub fn bits(self) -> u8 {
-        self.0
-    }
-
-    /// Reconstructs a set from a raw bitmask.
-    pub fn from_bits(bits: u8) -> DelaySet {
-        DelaySet(bits)
-    }
-
-    /// Whether `v` is still possible.
-    pub fn contains(self, v: DelayValue) -> bool {
-        self.0 & (1 << v.index()) != 0
-    }
-
-    /// Adds `v`.
-    pub fn insert(&mut self, v: DelayValue) {
-        self.0 |= 1 << v.index();
-    }
-
-    /// Removes `v`.
-    pub fn remove(&mut self, v: DelayValue) {
-        self.0 &= !(1 << v.index());
-    }
-
-    /// Set union.
-    pub fn union(self, other: DelaySet) -> DelaySet {
-        DelaySet(self.0 | other.0)
-    }
-
-    /// Set intersection.
-    pub fn intersect(self, other: DelaySet) -> DelaySet {
-        DelaySet(self.0 & other.0)
-    }
+    pub const TRANSITIONS: DelaySet = DelaySet::from_bits(0b0000_1100);
 
     /// Complement within the 8-value universe.
     pub fn complement(self) -> DelaySet {
-        DelaySet(!self.0)
-    }
-
-    /// Whether the set is empty (an implication conflict).
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Number of values in the set.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    /// `Some(v)` if the set is the singleton `{v}`.
-    pub fn as_singleton(self) -> Option<DelayValue> {
-        if self.0.count_ones() == 1 {
-            Some(DelayValue::from_index(self.0.trailing_zeros() as u8))
-        } else {
-            None
-        }
+        DelaySet::from_bits(!self.bits())
     }
 
     /// Whether any value in the set carries the fault effect.
@@ -417,199 +374,6 @@ impl DelaySet {
     pub fn must_carry_fault(self) -> bool {
         !self.is_empty() && self.intersect(DelaySet::CARRYING) == self
     }
-
-    /// Iterates over the values in the set, in table order.
-    pub fn iter(self) -> impl Iterator<Item = DelayValue> {
-        DelayValue::ALL
-            .into_iter()
-            .filter(move |v| self.contains(*v))
-    }
-
-    /// Applies the inverter table to every value in the set.
-    #[allow(clippy::should_implement_trait)] // method-call syntax without importing std::ops::Not
-    pub fn not(self) -> DelaySet {
-        DelaySet::from_values(self.iter().map(DelayValue::not))
-    }
-}
-
-impl fmt::Display for DelaySet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        let mut first = true;
-        for v in self.iter() {
-            if !first {
-                write!(f, ",")?;
-            }
-            write!(f, "{v}")?;
-            first = false;
-        }
-        write!(f, "}}")
-    }
-}
-
-impl FromIterator<DelayValue> for DelaySet {
-    fn from_iter<I: IntoIterator<Item = DelayValue>>(iter: I) -> Self {
-        DelaySet::from_values(iter)
-    }
-}
-
-/// The three associative core operations the gate kinds reduce to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CoreOp {
-    And,
-    Or,
-    Xor,
-}
-
-/// Maps a gate kind to `(core op, output inverted)`; `None` for BUF/NOT.
-fn core_of(kind: GateKind) -> Option<(CoreOp, bool)> {
-    match kind {
-        GateKind::And => Some((CoreOp::And, false)),
-        GateKind::Nand => Some((CoreOp::And, true)),
-        GateKind::Or => Some((CoreOp::Or, false)),
-        GateKind::Nor => Some((CoreOp::Or, true)),
-        GateKind::Xor => Some((CoreOp::Xor, false)),
-        GateKind::Xnor => Some((CoreOp::Xor, true)),
-        _ => None,
-    }
-}
-
-fn core2(op: CoreOp, a: DelayValue, b: DelayValue) -> DelayValue {
-    match op {
-        CoreOp::And => and_n(&[a, b]),
-        CoreOp::Or => or_n(&[a, b]),
-        CoreOp::Xor => xor_n(&[a, b]),
-    }
-}
-
-fn set_core2(op: CoreOp, a: DelaySet, b: DelaySet) -> DelaySet {
-    let mut out = DelaySet::EMPTY;
-    for va in a.iter() {
-        for vb in b.iter() {
-            out.insert(core2(op, va, vb));
-        }
-    }
-    out
-}
-
-/// Forward implication: the set of output values reachable from the given
-/// input sets. Exact (not an over-approximation): the two-input table is
-/// associative, so the pairwise fold enumerates precisely the n-ary results
-/// (property-tested in this module).
-///
-/// # Panics
-///
-/// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
-pub fn eval_gate_sets(kind: GateKind, ins: &[DelaySet]) -> DelaySet {
-    debug_assert!(!ins.is_empty());
-    match kind {
-        GateKind::Buf => ins[0],
-        GateKind::Not => ins[0].not(),
-        GateKind::Input | GateKind::Dff => {
-            panic!("eval_gate_sets called on non-combinational kind {kind:?}")
-        }
-        _ => {
-            let (op, inv) = core_of(kind).expect("combinational kind");
-            let folded = ins[1..]
-                .iter()
-                .fold(ins[0], |acc, &b| set_core2(op, acc, b));
-            if inv {
-                folded.not()
-            } else {
-                folded
-            }
-        }
-    }
-}
-
-/// Backward implication: narrows every input set to the values that can
-/// still produce an output inside `out_allowed`, and narrows `out_allowed`
-/// itself to what the inputs can still produce.
-///
-/// Returns `true` if any set changed. An emptied set signals a conflict the
-/// caller must detect via [`DelaySet::is_empty`].
-///
-/// # Panics
-///
-/// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
-pub fn narrow_inputs(kind: GateKind, out_allowed: &mut DelaySet, ins: &mut [DelaySet]) -> bool {
-    debug_assert!(!ins.is_empty());
-    let mut changed = false;
-    match kind {
-        GateKind::Buf => {
-            let meet = out_allowed.intersect(ins[0]);
-            changed |= meet != ins[0] || meet != *out_allowed;
-            ins[0] = meet;
-            *out_allowed = meet;
-        }
-        GateKind::Not => {
-            let meet_in = ins[0].intersect(out_allowed.not());
-            let meet_out = out_allowed.intersect(ins[0].not());
-            changed |= meet_in != ins[0] || meet_out != *out_allowed;
-            ins[0] = meet_in;
-            *out_allowed = meet_out;
-        }
-        GateKind::Input | GateKind::Dff => {
-            panic!("narrow_inputs called on non-combinational kind {kind:?}")
-        }
-        _ => {
-            let (op, inv) = core_of(kind).expect("combinational kind");
-            let target = if inv { out_allowed.not() } else { *out_allowed };
-            let n = ins.len();
-            // Prefix/suffix folds of the core op over the input sets.
-            let mut prefix = vec![DelaySet::EMPTY; n + 1];
-            let mut suffix = vec![DelaySet::EMPTY; n + 1];
-            prefix[0] = DelaySet::EMPTY; // identity handled positionally
-            for i in 0..n {
-                prefix[i + 1] = if i == 0 {
-                    ins[0]
-                } else {
-                    set_core2(op, prefix[i], ins[i])
-                };
-            }
-            for i in (0..n).rev() {
-                suffix[i] = if i == n - 1 {
-                    ins[n - 1]
-                } else {
-                    set_core2(op, ins[i], suffix[i + 1])
-                };
-            }
-            for i in 0..n {
-                let mut keep = DelaySet::EMPTY;
-                for v in ins[i].iter() {
-                    let sv = DelaySet::singleton(v);
-                    let combined = match (i == 0, i == n - 1) {
-                        (true, true) => sv,
-                        (true, false) => set_core2(op, sv, suffix[1]),
-                        (false, true) => set_core2(op, prefix[n - 1], sv),
-                        (false, false) => {
-                            set_core2(op, set_core2(op, prefix[i], sv), suffix[i + 1])
-                        }
-                    };
-                    if !combined.intersect(target).is_empty() {
-                        keep.insert(v);
-                    }
-                }
-                if keep != ins[i] {
-                    ins[i] = keep;
-                    changed = true;
-                }
-            }
-            // Narrow the output to what is actually producible.
-            let producible_core = suffix[0];
-            let producible = if inv {
-                producible_core.not()
-            } else {
-                producible_core
-            };
-            let meet = out_allowed.intersect(producible);
-            if meet != *out_allowed {
-                *out_allowed = meet;
-                changed = true;
-            }
-        }
-    }
-    changed
 }
 
 #[cfg(test)]

@@ -14,10 +14,12 @@
 //!
 //! Both algebras are exposed in the *set* form the paper works with
 //! ("during test pattern generation for each gate a set of values is
-//! maintained that are possible for that gate"): a signal's state is a
-//! bitmask of still-possible values, and [`delay::eval_gate`] /
-//! [`delay::narrow_inputs`] (and their `static5` twins) perform forward and
-//! backward implications over those sets.
+//! maintained that are possible for that gate"). [`set`] holds that
+//! machinery once: one bitmask type [`set::ValueSet`] and one implication
+//! pair, [`set::eval_gate_sets`] (forward) and [`set::narrow_inputs`]
+//! (backward). The two algebras differ only in their value tables:
+//! [`DelaySet`] and [`StaticSet`] are `ValueSet` over [`DelayValue`] and
+//! [`StaticValue`], and each module re-exports the implication pair.
 //!
 //! [`logic3`] holds the plain 3-valued Kleene logic used by the good-machine
 //! simulator and the synchronizing-sequence search.
@@ -42,6 +44,7 @@
 pub mod delay;
 pub mod logic3;
 pub mod packed;
+pub mod set;
 pub mod static5;
 pub mod tables;
 

@@ -7,9 +7,17 @@
 //! out automatically. As in [`crate::delay`], the ATPG works with *sets*
 //! of still-possible values ([`StaticSet`]), and `X` is simply the full
 //! set.
+//!
+//! [`StaticSet`] is the generic [`ValueSet`] over these four values, and
+//! [`eval_gate_sets`] / [`narrow_inputs`] are the generic implications of
+//! [`crate::set`]; the domain supplies only its constants and a core op
+//! that works on the (good, faulty) bit pair directly.
 
+use crate::set::{CoreOp, SetValue, ValueSet};
 use gdf_netlist::GateKind;
 use std::fmt;
+
+pub use crate::set::{eval_gate_sets, narrow_inputs};
 
 /// One value of the static D-algebra.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -114,88 +122,37 @@ pub fn eval2(kind: GateKind, a: StaticValue, b: StaticValue) -> StaticValue {
     eval_gate(kind, &[a, b])
 }
 
+impl SetValue for StaticValue {
+    const ALL: &'static [Self] = &StaticValue::ALL;
+
+    fn index(self) -> u8 {
+        self as u8
+    }
+
+    fn not(self) -> Self {
+        StaticValue::not(self)
+    }
+
+    /// Component-wise on the (good, faulty) bit pair.
+    fn core2(op: CoreOp, a: Self, b: Self) -> Self {
+        let bit = |x: bool, y: bool| match op {
+            CoreOp::And => x && y,
+            CoreOp::Or => x || y,
+            CoreOp::Xor => x != y,
+        };
+        StaticValue::from_pair(bit(a.good(), b.good()), bit(a.faulty(), b.faulty()))
+    }
+}
+
 /// A set of still-possible [`StaticValue`]s; `X` is [`StaticSet::ALL`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StaticSet(u8);
+pub type StaticSet = ValueSet<StaticValue>;
 
 impl StaticSet {
-    /// The empty set (conflict).
-    pub const EMPTY: StaticSet = StaticSet(0);
-    /// All four values — the unknown `X`.
-    pub const ALL: StaticSet = StaticSet(0b1111);
     /// `{0, 1}` — no fault effect (signals outside the faulty cone, or any
     /// signal in a fault-free time frame).
-    pub const GOOD: StaticSet = StaticSet(0b0011);
+    pub const GOOD: StaticSet = StaticSet::from_bits(0b0011);
     /// `{D, D̄}` — a guaranteed fault effect.
-    pub const FAULT_EFFECT: StaticSet = StaticSet(0b1100);
-
-    /// The singleton set `{v}`.
-    pub fn singleton(v: StaticValue) -> StaticSet {
-        StaticSet(1 << v.index())
-    }
-
-    /// Builds a set from an iterator of values.
-    pub fn from_values<I: IntoIterator<Item = StaticValue>>(values: I) -> StaticSet {
-        let mut s = StaticSet::EMPTY;
-        for v in values {
-            s.insert(v);
-        }
-        s
-    }
-
-    /// The raw bitmask.
-    pub fn bits(self) -> u8 {
-        self.0
-    }
-
-    /// Reconstructs a set from a raw bitmask (low 4 bits).
-    pub fn from_bits(bits: u8) -> StaticSet {
-        StaticSet(bits & 0b1111)
-    }
-
-    /// Whether `v` is still possible.
-    pub fn contains(self, v: StaticValue) -> bool {
-        self.0 & (1 << v.index()) != 0
-    }
-
-    /// Adds `v`.
-    pub fn insert(&mut self, v: StaticValue) {
-        self.0 |= 1 << v.index();
-    }
-
-    /// Removes `v`.
-    pub fn remove(&mut self, v: StaticValue) {
-        self.0 &= !(1 << v.index());
-    }
-
-    /// Set union.
-    pub fn union(self, other: StaticSet) -> StaticSet {
-        StaticSet(self.0 | other.0)
-    }
-
-    /// Set intersection.
-    pub fn intersect(self, other: StaticSet) -> StaticSet {
-        StaticSet(self.0 & other.0)
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Number of values in the set.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    /// `Some(v)` if the set is the singleton `{v}`.
-    pub fn as_singleton(self) -> Option<StaticValue> {
-        if self.0.count_ones() == 1 {
-            Some(StaticValue::from_index(self.0.trailing_zeros() as u8))
-        } else {
-            None
-        }
-    }
+    pub const FAULT_EFFECT: StaticSet = StaticSet::from_bits(0b1100);
 
     /// Whether a fault effect is still possible here.
     pub fn may_be_fault_effect(self) -> bool {
@@ -207,196 +164,12 @@ impl StaticSet {
         !self.is_empty() && self.intersect(StaticSet::FAULT_EFFECT) == self
     }
 
-    /// Iterates over the values in the set.
-    pub fn iter(self) -> impl Iterator<Item = StaticValue> {
-        StaticValue::ALL
-            .into_iter()
-            .filter(move |v| self.contains(*v))
-    }
-
-    /// Applies negation to every value in the set.
-    #[allow(clippy::should_implement_trait)] // method-call syntax without importing std::ops::Not
-    pub fn not(self) -> StaticSet {
-        StaticSet::from_values(self.iter().map(StaticValue::not))
-    }
-
     /// Restriction to the good-machine bit `b` (e.g. for slow-clock frames
     /// where the faulty machine equals the good machine the set is further
     /// intersected with [`StaticSet::GOOD`] by the caller).
     pub fn with_good(self, b: bool) -> StaticSet {
         StaticSet::from_values(self.iter().filter(|v| v.good() == b))
     }
-}
-
-impl fmt::Display for StaticSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        let mut first = true;
-        for v in self.iter() {
-            if !first {
-                write!(f, ",")?;
-            }
-            write!(f, "{v}")?;
-            first = false;
-        }
-        write!(f, "}}")
-    }
-}
-
-impl FromIterator<StaticValue> for StaticSet {
-    fn from_iter<I: IntoIterator<Item = StaticValue>>(iter: I) -> Self {
-        StaticSet::from_values(iter)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CoreOp {
-    And,
-    Or,
-    Xor,
-}
-
-fn core_of(kind: GateKind) -> Option<(CoreOp, bool)> {
-    match kind {
-        GateKind::And => Some((CoreOp::And, false)),
-        GateKind::Nand => Some((CoreOp::And, true)),
-        GateKind::Or => Some((CoreOp::Or, false)),
-        GateKind::Nor => Some((CoreOp::Or, true)),
-        GateKind::Xor => Some((CoreOp::Xor, false)),
-        GateKind::Xnor => Some((CoreOp::Xor, true)),
-        _ => None,
-    }
-}
-
-fn core2(op: CoreOp, a: StaticValue, b: StaticValue) -> StaticValue {
-    let kind = match op {
-        CoreOp::And => GateKind::And,
-        CoreOp::Or => GateKind::Or,
-        CoreOp::Xor => GateKind::Xor,
-    };
-    eval2(kind, a, b)
-}
-
-fn set_core2(op: CoreOp, a: StaticSet, b: StaticSet) -> StaticSet {
-    let mut out = StaticSet::EMPTY;
-    for va in a.iter() {
-        for vb in b.iter() {
-            out.insert(core2(op, va, vb));
-        }
-    }
-    out
-}
-
-/// Forward implication over sets; exact because the component-wise algebra
-/// is associative.
-///
-/// # Panics
-///
-/// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
-pub fn eval_gate_sets(kind: GateKind, ins: &[StaticSet]) -> StaticSet {
-    debug_assert!(!ins.is_empty());
-    match kind {
-        GateKind::Buf => ins[0],
-        GateKind::Not => ins[0].not(),
-        GateKind::Input | GateKind::Dff => {
-            panic!("eval_gate_sets called on non-combinational kind {kind:?}")
-        }
-        _ => {
-            let (op, inv) = core_of(kind).expect("combinational kind");
-            let folded = ins[1..]
-                .iter()
-                .fold(ins[0], |acc, &b| set_core2(op, acc, b));
-            if inv {
-                folded.not()
-            } else {
-                folded
-            }
-        }
-    }
-}
-
-/// Backward implication: narrows input sets and the output set; returns
-/// `true` if anything changed. See [`crate::delay::narrow_inputs`] for the
-/// contract.
-///
-/// # Panics
-///
-/// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
-pub fn narrow_inputs(kind: GateKind, out_allowed: &mut StaticSet, ins: &mut [StaticSet]) -> bool {
-    debug_assert!(!ins.is_empty());
-    let mut changed = false;
-    match kind {
-        GateKind::Buf => {
-            let meet = out_allowed.intersect(ins[0]);
-            changed |= meet != ins[0] || meet != *out_allowed;
-            ins[0] = meet;
-            *out_allowed = meet;
-        }
-        GateKind::Not => {
-            let meet_in = ins[0].intersect(out_allowed.not());
-            let meet_out = out_allowed.intersect(ins[0].not());
-            changed |= meet_in != ins[0] || meet_out != *out_allowed;
-            ins[0] = meet_in;
-            *out_allowed = meet_out;
-        }
-        GateKind::Input | GateKind::Dff => {
-            panic!("narrow_inputs called on non-combinational kind {kind:?}")
-        }
-        _ => {
-            let (op, inv) = core_of(kind).expect("combinational kind");
-            let target = if inv { out_allowed.not() } else { *out_allowed };
-            let n = ins.len();
-            let mut prefix = vec![StaticSet::EMPTY; n + 1];
-            let mut suffix = vec![StaticSet::EMPTY; n + 1];
-            for i in 0..n {
-                prefix[i + 1] = if i == 0 {
-                    ins[0]
-                } else {
-                    set_core2(op, prefix[i], ins[i])
-                };
-            }
-            for i in (0..n).rev() {
-                suffix[i] = if i == n - 1 {
-                    ins[n - 1]
-                } else {
-                    set_core2(op, ins[i], suffix[i + 1])
-                };
-            }
-            for i in 0..n {
-                let mut keep = StaticSet::EMPTY;
-                for v in ins[i].iter() {
-                    let sv = StaticSet::singleton(v);
-                    let combined = match (i == 0, i == n - 1) {
-                        (true, true) => sv,
-                        (true, false) => set_core2(op, sv, suffix[1]),
-                        (false, true) => set_core2(op, prefix[n - 1], sv),
-                        (false, false) => {
-                            set_core2(op, set_core2(op, prefix[i], sv), suffix[i + 1])
-                        }
-                    };
-                    if !combined.intersect(target).is_empty() {
-                        keep.insert(v);
-                    }
-                }
-                if keep != ins[i] {
-                    ins[i] = keep;
-                    changed = true;
-                }
-            }
-            let producible_core = suffix[0];
-            let producible = if inv {
-                producible_core.not()
-            } else {
-                producible_core
-            };
-            let meet = out_allowed.intersect(producible);
-            if meet != *out_allowed {
-                *out_allowed = meet;
-                changed = true;
-            }
-        }
-    }
-    changed
 }
 
 #[cfg(test)]

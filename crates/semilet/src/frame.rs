@@ -10,7 +10,7 @@
 //! declared only on a *forward functional image* from the decided leaves,
 //! so a solution with don't-care `X` positions holds for every completion.
 
-use gdf_algebra::logic3::{eval_gate3, Logic3};
+use gdf_algebra::logic3::Logic3;
 use gdf_algebra::static5::{eval_gate_sets, narrow_inputs, StaticSet, StaticValue};
 use gdf_netlist::scoap::Testability;
 use gdf_netlist::{Circuit, GateKind, NodeId, StuckFault};
@@ -424,31 +424,35 @@ impl<'c> FrameEngine<'c> {
         for (i, &ff) in circuit.dffs().iter().enumerate() {
             f[ff.index()] = self.leaf_set(ff, ppis[i].leaf(), stack);
         }
-        for &g in circuit.topo_order() {
-            let node = circuit.node(g);
-            let ins: Vec<StaticSet> = node
-                .fanin()
-                .iter()
-                .enumerate()
-                .map(|(pin, &src)| {
-                    let s = f[src.index()];
-                    if Self::edge_converted(fault, src, g, pin as u8) {
-                        Self::convert(fault.expect("converted"), s)
-                    } else {
-                        s
-                    }
-                })
-                .collect();
+        self.forward_pass(&mut f, fault);
+        f
+    }
+
+    /// The levelized forward pass over value sets: `f` holds the leaf
+    /// (PI and PPI) sets on entry and every net's set on return. Stuck
+    /// edges are converted on the way, and a stuck stem overrides its own
+    /// observed value too.
+    fn forward_pass(&self, f: &mut [StaticSet], fault: Option<StuckFault>) {
+        let mut ins = Vec::new();
+        for &g in self.circuit.topo_order() {
+            let node = self.circuit.node(g);
+            ins.clear();
+            ins.extend(node.fanin().iter().enumerate().map(|(pin, &src)| {
+                let s = f[src.index()];
+                if Self::edge_converted(fault, src, g, pin as u8) {
+                    Self::convert(fault.expect("converted"), s)
+                } else {
+                    s
+                }
+            }));
             f[g.index()] = eval_gate_sets(node.kind(), &ins);
         }
-        // A stuck stem overrides its own observed value too.
         if let Some(flt) = fault {
             if flt.site.branch.is_none() {
                 let idx = flt.site.stem.index();
                 f[idx] = Self::convert(flt, f[idx]);
             }
         }
-        f
     }
 
     fn forward_ppo(&self, image: &[StaticSet], i: usize) -> StaticSet {
@@ -456,6 +460,8 @@ impl<'c> FrameEngine<'c> {
         image[d.index()]
     }
 
+    /// The set flip-flop `i` latches: a stuck D-input branch is converted
+    /// here, a stuck stem already by [`FrameEngine::forward_pass`].
     fn forward_ppo_with_fault(
         &self,
         image: &[StaticSet],
@@ -922,72 +928,13 @@ impl<'c> FrameEngine<'c> {
         for (i, &ff) in circuit.dffs().iter().enumerate() {
             f[ff.index()] = state[i];
         }
-        for &g in circuit.topo_order() {
-            let node = circuit.node(g);
-            let ins: Vec<StaticSet> = node
-                .fanin()
-                .iter()
-                .enumerate()
-                .map(|(pin, &src)| {
-                    let s = f[src.index()];
-                    if Self::edge_converted(fault, src, g, pin as u8) {
-                        Self::convert(fault.expect("converted"), s)
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            f[g.index()] = eval_gate_sets(node.kind(), &ins);
-        }
-        if let Some(flt) = fault {
-            if flt.site.branch.is_none() {
-                let idx = flt.site.stem.index();
-                f[idx] = Self::convert(flt, f[idx]);
-            }
-        }
+        self.forward_pass(&mut f, fault);
         let pos = circuit.outputs().iter().map(|&po| f[po.index()]).collect();
         let next = (0..circuit.num_dffs())
-            .map(|i| {
-                let dff = circuit.dffs()[i];
-                let d = circuit.ppo_of_dff(dff);
-                let s = f[d.index()];
-                if Self::edge_converted(fault, d, dff, 0) {
-                    Self::convert(fault.expect("converted"), s)
-                } else {
-                    s
-                }
-            })
+            .map(|i| self.forward_ppo_with_fault(&f, i, fault))
             .collect();
         (pos, next)
     }
-}
-
-/// 3-valued sanity helper: evaluates the good machine of one frame given
-/// a PI vector and 3-valued state.
-#[allow(dead_code)]
-pub(crate) fn good_frame(
-    circuit: &Circuit,
-    pi: &[Logic3],
-    state: &[Logic3],
-) -> (Vec<Logic3>, Vec<Logic3>) {
-    let mut values = vec![Logic3::X; circuit.num_nodes()];
-    for (i, &id) in circuit.inputs().iter().enumerate() {
-        values[id.index()] = pi[i];
-    }
-    for (i, &ff) in circuit.dffs().iter().enumerate() {
-        values[ff.index()] = state[i];
-    }
-    for &g in circuit.topo_order() {
-        let node = circuit.node(g);
-        let ins: Vec<Logic3> = node.fanin().iter().map(|&f| values[f.index()]).collect();
-        values[g.index()] = eval_gate3(node.kind(), &ins);
-    }
-    let next = circuit
-        .dffs()
-        .iter()
-        .map(|&ff| values[circuit.ppo_of_dff(ff).index()])
-        .collect();
-    (values, next)
 }
 
 #[cfg(test)]
