@@ -21,6 +21,14 @@
 //! [`DelaySet`] and [`StaticSet`] are `ValueSet` over [`DelayValue`] and
 //! [`StaticValue`], and each module re-exports the implication pair.
 //!
+//! [`implication`] builds the search both test generators run on top of
+//! the sets, once for both value domains: the set network with its undo
+//! trail and constraint queue, the fault site's converted edges, the
+//! decision stack with its backtrack limit, and the backtrace step through
+//! a gate. TDgen supplies the delay domain's rules (two frames, register
+//! coupling, robust or non-robust gate rules), SEMILET the static
+//! domain's (one frame, stuck-at conversion).
+//!
 //! [`logic3`] holds the plain 3-valued Kleene logic used by the good-machine
 //! simulator and the synchronizing-sequence search.
 //!
@@ -42,6 +50,7 @@
 //! ```
 
 pub mod delay;
+pub mod implication;
 pub mod logic3;
 pub mod packed;
 pub mod set;

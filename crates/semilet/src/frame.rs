@@ -5,16 +5,24 @@
 //! carry constraints from the neighbouring frames, primary inputs are
 //! decision variables, and the goal is either to drive a fault effect to an
 //! observation point or to justify required pseudo-primary-output values.
-//! Implications run on arc-consistent [`StaticSet`]s (the same machinery as
-//! TDgen, §3's refs 8 and 20, specialized to the static algebra); success is
-//! declared only on a *forward functional image* from the decided leaves,
-//! so a solution with don't-care `X` positions holds for every completion.
+//! The search is the one TDgen runs (§3's refs 8 and 20):
+//! [`gdf_algebra::implication`] holds the arc-consistent set network, the
+//! fault-site edges, the decision stack and the backtrace step once, and
+//! this module supplies the static domain's rules (a stuck-at site
+//! converts good values to the stuck faulty value), the initial domains,
+//! the goals' objectives and success checks, and the PI/PPI decisions.
+//! Success is declared only on a *forward functional image* from the
+//! decided leaves, so a solution with don't-care `X` positions holds for
+//! every completion.
 
+use gdf_algebra::implication::{
+    alternatives, Choice, Decisions, Exit, Rules, SetNetwork, SiteView, Step,
+};
 use gdf_algebra::logic3::Logic3;
-use gdf_algebra::static5::{eval_gate_sets, narrow_inputs, StaticSet, StaticValue};
+use gdf_algebra::static5::{StaticSet, StaticValue};
 use gdf_netlist::scoap::Testability;
 use gdf_netlist::{Circuit, GateKind, NodeId, StuckFault};
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// Constraint on one pseudo primary input for this frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,22 +124,32 @@ pub struct FrameEngine<'c> {
     testability: Testability,
 }
 
-#[derive(Debug)]
-struct Net {
-    sets: Vec<StaticSet>,
-    trail: Vec<(NodeId, StaticSet)>,
-    queue: VecDeque<NodeId>,
-    queued: Vec<bool>,
-    conflict: bool,
+/// SEMILET's rules for the shared implication search: the robust static
+/// gate rules, with a stuck-at site's converted edges carrying the good
+/// value against the stuck faulty value.
+#[derive(Debug, Clone, Copy)]
+struct StuckRules {
+    stuck: bool,
 }
 
-#[derive(Debug)]
-struct Decision {
-    node: NodeId,
-    applied: StaticSet,
-    alts: Vec<StaticSet>,
-    trail_mark: usize,
+impl Rules for StuckRules {
+    type Value = StaticValue;
+
+    const PREFERENCE: &'static [StaticValue] = &[
+        StaticValue::S1,
+        StaticValue::S0,
+        StaticValue::D,
+        StaticValue::Db,
+    ];
+
+    fn convert_value(&self, v: StaticValue) -> StaticValue {
+        StaticValue::from_pair(v.good(), self.stuck)
+    }
 }
+
+type Net<'c> = SetNetwork<'c, StuckRules>;
+type View<'c> = SiteView<'c, StuckRules>;
+type Search = Decisions<StaticValue>;
 
 impl<'c> FrameEngine<'c> {
     /// Creates an engine with the paper's default-style backtrack limit.
@@ -141,6 +159,11 @@ impl<'c> FrameEngine<'c> {
             backtrack_limit,
             testability: Testability::compute(circuit),
         }
+    }
+
+    fn view(&self, fault: Option<StuckFault>) -> View<'c> {
+        let stuck = fault.is_some_and(|f| f.kind.value());
+        SiteView::new(self.circuit, fault.map(|f| f.site), StuckRules { stuck })
     }
 
     /// Solves one frame. `fault` injects a persistent stuck-at fault into
@@ -153,62 +176,42 @@ impl<'c> FrameEngine<'c> {
         fault: Option<StuckFault>,
     ) -> FrameResult {
         assert_eq!(ppis.len(), self.circuit.num_dffs(), "PPI constraint count");
-        let mut net = self.init_net(ppis, fault);
-        let mut stack: Vec<Decision> = Vec::new();
-        let mut backtracks: u32 = 0;
+        let mut net = SetNetwork::new(self.view(fault), self.initial_sets(ppis, fault));
 
         // Seed goal constraints into the arc network where possible.
         if let FrameGoal::JustifyPpos(targets) = goal {
             for &(i, b) in targets {
                 let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
-                let want = StaticSet::singleton(if b { StaticValue::S1 } else { StaticValue::S0 });
-                if !self.assign(&mut net, d, want) {
+                if !net.assign(d, StaticSet::singleton(known(b))) {
                     return FrameResult::Exhausted;
                 }
             }
         }
 
-        loop {
-            let consistent = self.propagate(&mut net, fault);
-            if consistent {
-                let image = self.forward_image(ppis, &stack, fault);
-                if let Some(sol) =
-                    self.forward_success(goal, ppis, &stack, &image, backtracks, fault)
-                {
-                    return FrameResult::Solved(sol);
-                }
-                if self.still_possible(&net, goal, fault)
-                    && self.pick_decision(&mut net, goal, ppis, &mut stack, fault, &image)
-                {
-                    continue;
-                }
+        let mut search = Decisions::new(self.backtrack_limit);
+        let result = search.run(&mut net, |net, search| {
+            let view = net.view();
+            let image = self.forward_image(view, ppis, search);
+            if let Some(sol) = self.forward_success(view, goal, ppis, search, &image) {
+                return Step::Done(sol);
             }
-            backtracks += 1;
-            if backtracks > self.backtrack_limit {
-                return FrameResult::Aborted;
+            if !self.still_possible(net, goal) {
+                return Step::Backtrack;
             }
-            let mut retried = false;
-            while let Some(mut d) = stack.pop() {
-                self.rollback(&mut net, d.trail_mark);
-                if let Some(alt) = d.alts.pop() {
-                    let _ = self.assign(&mut net, d.node, alt);
-                    d.applied = alt;
-                    stack.push(d);
-                    retried = true;
-                    break;
-                }
-            }
-            if !retried {
-                return FrameResult::Exhausted;
-            }
+            self.pick_decision(net, goal, ppis, search, fault, &image)
+                .map_or(Step::Backtrack, Step::Decide)
+        });
+        match result {
+            Ok(sol) => FrameResult::Solved(sol),
+            Err(Exit::Exhausted) => FrameResult::Exhausted,
+            Err(Exit::Aborted) => FrameResult::Aborted,
         }
     }
 
-    // ------------------------------------------------------------------
-    // Arc network
-    // ------------------------------------------------------------------
-
-    fn init_net(&self, ppis: &[PpiConstraint], fault: Option<StuckFault>) -> Net {
+    /// The initial domains: PIs good-valued, PPIs as constrained, and no
+    /// fault effect outside the cone of the fault site and of the PPIs
+    /// that carry one in.
+    fn initial_sets(&self, ppis: &[PpiConstraint], fault: Option<StuckFault>) -> Vec<StaticSet> {
         let n = self.circuit.num_nodes();
         let mut sets = vec![StaticSet::ALL; n];
         for &pi in self.circuit.inputs() {
@@ -217,8 +220,6 @@ impl<'c> FrameEngine<'c> {
         for (i, &ff) in self.circuit.dffs().iter().enumerate() {
             sets[ff.index()] = ppis[i].leaf();
         }
-        // Outside the fault cone (and in fault-free frames entirely) no
-        // fault effect can exist unless a PPI carries one in.
         let mut may_effect = vec![false; n];
         let mut stack: Vec<NodeId> = Vec::new();
         for (i, &ff) in self.circuit.dffs().iter().enumerate() {
@@ -245,249 +246,46 @@ impl<'c> FrameEngine<'c> {
                 }
             }
         }
-        for idx in 0..n {
-            if !may_effect[idx] {
-                sets[idx] = sets[idx].intersect(StaticSet::GOOD);
+        for (set, may) in sets.iter_mut().zip(may_effect) {
+            if !may {
+                *set = set.intersect(StaticSet::GOOD);
             }
         }
-        let mut net = Net {
-            sets,
-            trail: Vec::new(),
-            queue: VecDeque::new(),
-            queued: vec![false; n],
-            conflict: false,
-        };
-        for &g in self.circuit.topo_order() {
-            net.queued[g.index()] = true;
-            net.queue.push_back(g);
-        }
-        net
-    }
-
-    fn stuck_value(fault: StuckFault) -> bool {
-        fault.kind.value()
-    }
-
-    fn convert(fault: StuckFault, s: StaticSet) -> StaticSet {
-        let stuck = Self::stuck_value(fault);
-        s.iter()
-            .map(|v| StaticValue::from_pair(v.good(), stuck))
-            .collect()
-    }
-
-    fn unconvert_within(fault: StuckFault, post: StaticSet, pre: StaticSet) -> StaticSet {
-        let stuck = Self::stuck_value(fault);
-        pre.iter()
-            .filter(|v| post.contains(StaticValue::from_pair(v.good(), stuck)))
-            .collect()
-    }
-
-    fn edge_converted(fault: Option<StuckFault>, stem: NodeId, sink: NodeId, pin: u8) -> bool {
-        let Some(f) = fault else { return false };
-        if f.site.stem != stem {
-            return false;
-        }
-        match f.site.branch {
-            None => true,
-            Some((fsink, fpin)) => fsink == sink && fpin == pin,
-        }
-    }
-
-    fn edge_set(
-        &self,
-        net: &Net,
-        fault: Option<StuckFault>,
-        sink: NodeId,
-        pin: usize,
-    ) -> StaticSet {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        let s = net.sets[stem.index()];
-        if Self::edge_converted(fault, stem, sink, pin as u8) {
-            Self::convert(fault.expect("converted edge"), s)
-        } else {
-            s
-        }
-    }
-
-    fn assign(&self, net: &mut Net, id: NodeId, new: StaticSet) -> bool {
-        let old = net.sets[id.index()];
-        let meet = old.intersect(new);
-        if meet == old {
-            return !meet.is_empty();
-        }
-        net.trail.push((id, old));
-        net.sets[id.index()] = meet;
-        if meet.is_empty() {
-            net.conflict = true;
-            return false;
-        }
-        // Wake adjacent gates.
-        let node = self.circuit.node(id);
-        if node.kind().is_combinational() && !net.queued[id.index()] {
-            net.queued[id.index()] = true;
-            net.queue.push_back(id);
-        }
-        let sinks: Vec<NodeId> = node
-            .fanout()
-            .iter()
-            .map(|&(s, _)| s)
-            .filter(|&s| self.circuit.node(s).kind().is_combinational())
-            .collect();
-        for s in sinks {
-            if !net.queued[s.index()] {
-                net.queued[s.index()] = true;
-                net.queue.push_back(s);
-            }
-        }
-        true
-    }
-
-    fn rollback(&self, net: &mut Net, mark: usize) {
-        while net.trail.len() > mark {
-            let (id, old) = net.trail.pop().expect("trail entry");
-            net.sets[id.index()] = old;
-        }
-        net.conflict = false;
-        net.queue.clear();
-        for q in &mut net.queued {
-            *q = false;
-        }
-    }
-
-    fn propagate(&self, net: &mut Net, fault: Option<StuckFault>) -> bool {
-        while let Some(g) = net.queue.pop_front() {
-            net.queued[g.index()] = false;
-            if net.conflict {
-                break;
-            }
-            let node = self.circuit.node(g);
-            let kind = node.kind();
-            let fanin: Vec<NodeId> = node.fanin().to_vec();
-            let mut ins: Vec<StaticSet> = (0..fanin.len())
-                .map(|p| self.edge_set(net, fault, g, p))
-                .collect();
-            let mut out = net.sets[g.index()];
-            let image = eval_gate_sets(kind, &ins);
-            out = out.intersect(image);
-            narrow_inputs(kind, &mut out, &mut ins);
-            if !self.assign(net, g, out) {
-                break;
-            }
-            let mut failed = false;
-            for (p, &stem) in fanin.iter().enumerate() {
-                let pre = if Self::edge_converted(fault, stem, g, p as u8) {
-                    Self::unconvert_within(
-                        fault.expect("converted"),
-                        ins[p],
-                        net.sets[stem.index()],
-                    )
-                } else {
-                    ins[p]
-                };
-                if !self.assign(net, stem, pre) {
-                    failed = true;
-                    break;
-                }
-            }
-            if failed {
-                break;
-            }
-        }
-        !net.conflict
+        sets
     }
 
     // ------------------------------------------------------------------
     // Forward functional image & success
     // ------------------------------------------------------------------
 
-    fn leaf_set(&self, node: NodeId, base: StaticSet, stack: &[Decision]) -> StaticSet {
-        let mut s = base;
-        for d in stack {
-            if d.node == node {
-                s = s.intersect(d.applied);
-            }
-        }
-        s
-    }
-
+    /// The forward functional image from the decided leaves (undecided
+    /// ones keep their whole domain): a success judged on it holds for
+    /// every completion of the don't-cares.
     fn forward_image(
         &self,
+        view: &View<'_>,
         ppis: &[PpiConstraint],
-        stack: &[Decision],
-        fault: Option<StuckFault>,
+        search: &Search,
     ) -> Vec<StaticSet> {
         let circuit = self.circuit;
         let mut f = vec![StaticSet::EMPTY; circuit.num_nodes()];
         for &pi in circuit.inputs() {
-            f[pi.index()] = self.leaf_set(pi, StaticSet::GOOD, stack);
+            f[pi.index()] = search.leaf_set(pi, StaticSet::GOOD);
         }
         for (i, &ff) in circuit.dffs().iter().enumerate() {
-            f[ff.index()] = self.leaf_set(ff, ppis[i].leaf(), stack);
+            f[ff.index()] = search.leaf_set(ff, ppis[i].leaf());
         }
-        self.forward_pass(&mut f, fault);
+        view.forward_pass(&mut f);
         f
-    }
-
-    /// The levelized forward pass over value sets: `f` holds the leaf
-    /// (PI and PPI) sets on entry and every net's set on return. Stuck
-    /// edges are converted on the way, and a stuck stem overrides its own
-    /// observed value too.
-    fn forward_pass(&self, f: &mut [StaticSet], fault: Option<StuckFault>) {
-        let mut ins = Vec::new();
-        for &g in self.circuit.topo_order() {
-            let node = self.circuit.node(g);
-            ins.clear();
-            ins.extend(node.fanin().iter().enumerate().map(|(pin, &src)| {
-                let s = f[src.index()];
-                if Self::edge_converted(fault, src, g, pin as u8) {
-                    Self::convert(fault.expect("converted"), s)
-                } else {
-                    s
-                }
-            }));
-            f[g.index()] = eval_gate_sets(node.kind(), &ins);
-        }
-        if let Some(flt) = fault {
-            if flt.site.branch.is_none() {
-                let idx = flt.site.stem.index();
-                f[idx] = Self::convert(flt, f[idx]);
-            }
-        }
-    }
-
-    fn forward_ppo(&self, image: &[StaticSet], i: usize) -> StaticSet {
-        let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
-        image[d.index()]
-    }
-
-    /// The set flip-flop `i` latches: a stuck D-input branch is converted
-    /// here, a stuck stem already by [`FrameEngine::forward_pass`].
-    fn forward_ppo_with_fault(
-        &self,
-        image: &[StaticSet],
-        i: usize,
-        fault: Option<StuckFault>,
-    ) -> StaticSet {
-        let dff = self.circuit.dffs()[i];
-        let d = self.circuit.ppo_of_dff(dff);
-        let s = image[d.index()];
-        if Self::edge_converted(fault, d, dff, 0)
-            && fault.map(|f| f.site.branch.is_some()).unwrap_or(false)
-        {
-            Self::convert(fault.expect("converted"), s)
-        } else {
-            s
-        }
     }
 
     fn forward_success(
         &self,
+        view: &View<'_>,
         goal: &FrameGoal,
         ppis: &[PpiConstraint],
-        stack: &[Decision],
+        search: &Search,
         image: &[StaticSet],
-        backtracks: u32,
-        fault: Option<StuckFault>,
     ) -> Option<FrameSolution> {
         // An observation (or latched effect) needs a *singleton* D or D̄:
         // a {D, D̄} set means the good-machine value is unknown, so a
@@ -503,12 +301,13 @@ impl<'c> FrameEngine<'c> {
                 .circuit
                 .outputs()
                 .iter()
-                .any(|&po| definite(image[po.index()])),
-            FrameGoal::LatchDiff => (0..self.circuit.num_dffs())
-                .any(|i| definite(self.forward_ppo_with_fault(image, i, fault))),
+                .any(|&po| definite(view.observed(image, po))),
+            FrameGoal::LatchDiff => {
+                (0..self.circuit.num_dffs()).any(|i| definite(view.latched(image, i)))
+            }
             FrameGoal::JustifyPpos(targets) => targets.iter().all(|&(i, b)| {
-                let want = if b { StaticValue::S1 } else { StaticValue::S0 };
-                self.forward_ppo(image, i).as_singleton() == Some(want)
+                let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
+                view.observed(image, d).as_singleton() == Some(known(b))
             }),
         };
         if !achieved {
@@ -519,12 +318,12 @@ impl<'c> FrameEngine<'c> {
             .outputs()
             .iter()
             .copied()
-            .find(|&po| definite(image[po.index()]));
+            .find(|&po| definite(view.observed(image, po)));
         let pi = self
             .circuit
             .inputs()
             .iter()
-            .map(|&p| to_logic3(self.leaf_set(p, StaticSet::GOOD, stack)))
+            .map(|&p| to_logic3(search.leaf_set(p, StaticSet::GOOD)))
             .collect();
         let ppi_assigned = self
             .circuit
@@ -533,45 +332,37 @@ impl<'c> FrameEngine<'c> {
             .enumerate()
             .filter(|&(i, _)| matches!(ppis[i], PpiConstraint::Assignable))
             .filter_map(|(i, &ff)| {
-                let leaf = self.leaf_set(ff, StaticSet::GOOD, stack);
+                let leaf = search.leaf_set(ff, StaticSet::GOOD);
                 leaf.as_singleton().map(|v| (i, v.good()))
             })
             .collect();
         let next_state = (0..self.circuit.num_dffs())
-            .map(|i| self.forward_ppo_with_fault(image, i, fault))
+            .map(|i| view.latched(image, i))
             .collect();
         Some(FrameSolution {
             pi,
             ppi_assigned,
             po_hit,
             next_state,
-            backtracks,
+            backtracks: search.backtracks(),
         })
     }
 
     /// Arc-level pruning: is the goal still conceivably achievable?
-    fn still_possible(&self, net: &Net, goal: &FrameGoal, fault: Option<StuckFault>) -> bool {
+    fn still_possible(&self, net: &Net<'_>, goal: &FrameGoal) -> bool {
         match goal {
-            FrameGoal::ObserveAtPo => self.circuit.outputs().iter().any(|&po| {
-                let mut s = net.sets[po.index()];
-                if fault
-                    .map(|f| f.site.branch.is_none() && f.site.stem == po)
-                    .unwrap_or(false)
-                {
-                    s = Self::convert(fault.expect("fault"), s);
-                }
-                s.may_be_fault_effect()
-            }),
+            FrameGoal::ObserveAtPo => self
+                .circuit
+                .outputs()
+                .iter()
+                .any(|&po| net.observed(po).may_be_fault_effect()),
             FrameGoal::LatchDiff => (0..self.circuit.num_dffs()).any(|i| {
-                let dff = self.circuit.dffs()[i];
-                let d = self.circuit.ppo_of_dff(dff);
-                self.edge_set(net, fault, dff, 0).may_be_fault_effect()
-                    || net.sets[d.index()].may_be_fault_effect()
+                let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
+                net.latched(i).may_be_fault_effect() || net.set(d).may_be_fault_effect()
             }),
             FrameGoal::JustifyPpos(targets) => targets.iter().all(|&(i, b)| {
                 let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
-                let want = if b { StaticValue::S1 } else { StaticValue::S0 };
-                net.sets[d.index()].contains(want)
+                net.set(d).contains(known(b))
             }),
         }
     }
@@ -582,281 +373,125 @@ impl<'c> FrameEngine<'c> {
 
     fn pick_decision(
         &self,
-        net: &mut Net,
+        net: &Net<'_>,
         goal: &FrameGoal,
         ppis: &[PpiConstraint],
-        stack: &mut Vec<Decision>,
+        search: &Search,
         fault: Option<StuckFault>,
         image: &[StaticSet],
-    ) -> bool {
-        let objective = self.pick_objective(net, goal, fault, image);
-        let decision = objective
-            .and_then(|(node, desired)| self.backtrace(net, ppis, stack, node, desired, fault))
-            .or_else(|| self.fallback_variable(net, ppis, stack));
-        let Some((node, mut alts)) = decision else {
-            return false;
-        };
-        debug_assert!(!alts.is_empty());
-        let trail_mark = net.trail.len();
-        let first = alts.pop().expect("non-empty");
-        let _ = self.assign(net, node, first);
-        stack.push(Decision {
-            node,
-            applied: first,
-            alts,
-            trail_mark,
-        });
-        true
+    ) -> Option<Choice<StaticValue>> {
+        self.pick_objective(net, goal, fault, image)
+            .and_then(|(node, desired)| {
+                net.backtrace(&self.testability, node, desired, |node, desired| {
+                    ControlFlow::Break(self.leaf_decision(ppis, search, node, desired))
+                })
+            })
+            .or_else(|| self.fallback_variable(net, ppis, search))
     }
 
     fn pick_objective(
         &self,
-        net: &Net,
+        net: &Net<'_>,
         goal: &FrameGoal,
         fault: Option<StuckFault>,
         image: &[StaticSet],
     ) -> Option<(NodeId, StaticSet)> {
-        match goal {
-            FrameGoal::JustifyPpos(targets) => {
-                // Judge satisfaction on the *forward image* — the arc
-                // network already contains the target as a constraint, so
-                // it cannot tell us which targets still need decisions.
-                for &(i, b) in targets {
-                    let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
-                    let want_v = if b { StaticValue::S1 } else { StaticValue::S0 };
-                    if image[d.index()].as_singleton() != Some(want_v) {
-                        return Some((d, StaticSet::singleton(want_v)));
-                    }
-                }
-                None
-            }
-            _ => {
-                // Excitation first (standalone stuck-at mode): if nothing
-                // carries the effect yet, provoke the site.
-                if let Some(f) = fault {
-                    let any_effect = net.sets.iter().any(|s| s.must_be_fault_effect())
-                        || self.any_converted_edge_effect(net, f);
-                    if !any_effect {
-                        let want_good = !Self::stuck_value(f);
-                        let desired: StaticSet = net.sets[f.site.stem.index()]
-                            .iter()
-                            .filter(|v| v.good() == want_good)
-                            .collect();
-                        if !desired.is_empty() && desired != net.sets[f.site.stem.index()] {
-                            return Some((f.site.stem, desired));
-                        }
-                    }
-                }
-                // D-frontier: unresolved gate with a definite effect on an
-                // input, closest to an output.
-                let mut best: Option<(u32, NodeId, StaticSet)> = None;
-                for &g in self.circuit.topo_order() {
-                    let out = net.sets[g.index()];
-                    if out.must_be_fault_effect() || !out.may_be_fault_effect() {
-                        continue;
-                    }
-                    let arity = self.circuit.node(g).fanin().len();
-                    let has_effect_input =
-                        (0..arity).any(|p| self.edge_set(net, fault, g, p).must_be_fault_effect());
-                    if !has_effect_input {
-                        continue;
-                    }
-                    let desired = out.intersect(StaticSet::FAULT_EFFECT);
-                    if desired.is_empty() {
-                        continue;
-                    }
-                    let cost = self.testability.co[g.index()];
-                    if best.as_ref().is_none_or(|&(c, _, _)| cost < c) {
-                        best = Some((cost, g, desired));
-                    }
-                }
-                best.map(|(_, g, d)| (g, d))
-            }
+        if let FrameGoal::JustifyPpos(targets) = goal {
+            // Judge satisfaction on the *forward image* — the arc network
+            // already contains the target as a constraint, so it cannot
+            // tell us which targets still need decisions.
+            return targets.iter().find_map(|&(i, b)| {
+                let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
+                (net.view().observed(image, d).as_singleton() != Some(known(b)))
+                    .then(|| (d, StaticSet::singleton(known(b))))
+            });
         }
-    }
-
-    fn any_converted_edge_effect(&self, net: &Net, f: StuckFault) -> bool {
-        let stem = f.site.stem;
-        let s = Self::convert(f, net.sets[stem.index()]);
-        s.must_be_fault_effect()
-    }
-
-    fn backtrace(
-        &self,
-        net: &Net,
-        ppis: &[PpiConstraint],
-        stack: &[Decision],
-        mut node: NodeId,
-        mut desired: StaticSet,
-        fault: Option<StuckFault>,
-    ) -> Option<(NodeId, Vec<StaticSet>)> {
-        let limit = 4 * self.circuit.num_nodes() + 16;
-        for _ in 0..limit {
-            desired = desired.intersect(net.sets[node.index()]);
-            if desired.is_empty() {
-                return None;
-            }
-            let kind = self.circuit.node(node).kind();
-            match kind {
-                GateKind::Input => {
-                    return self.leaf_decision(node, StaticSet::GOOD, desired, stack)
-                }
-                GateKind::Dff => {
-                    let i = self
-                        .circuit
-                        .dffs()
-                        .iter()
-                        .position(|&f| f == node)
-                        .expect("dff index");
-                    return match ppis[i] {
-                        PpiConstraint::Assignable => {
-                            self.leaf_decision(node, StaticSet::GOOD, desired, stack)
-                        }
-                        PpiConstraint::Fixed(_) => None, // cannot influence
-                    };
-                }
-                _ => {
-                    let arity = self.circuit.node(node).fanin().len();
-                    let orig: Vec<StaticSet> = (0..arity)
-                        .map(|p| self.edge_set(net, fault, node, p))
-                        .collect();
-                    let mut ins = orig.clone();
-                    let mut out = desired;
-                    narrow_inputs(kind, &mut out, &mut ins);
-                    let required: Vec<usize> = (0..arity)
-                        .filter(|&p| ins[p] != orig[p] && !ins[p].is_empty())
-                        .collect();
-                    let mut advanced = false;
-                    if let Some(&p) = required.iter().max_by_key(|&&p| self.edge_cost(node, p)) {
-                        let stem = self.circuit.node(node).fanin()[p];
-                        let pre = self.pre_of(net, fault, node, p, ins[p]);
-                        if !pre.is_empty() && pre != net.sets[stem.index()] {
-                            node = stem;
-                            desired = pre;
-                            advanced = true;
-                        }
-                    }
-                    if advanced {
-                        continue;
-                    }
-                    let candidates: Vec<usize> =
-                        (0..arity).filter(|&p| orig[p].len() > 1).collect();
-                    let &p = candidates
-                        .iter()
-                        .min_by_key(|&&p| self.edge_cost(node, p))?;
-                    let chosen = choose_helping_value(kind, &orig, p, desired)?;
-                    let stem = self.circuit.node(node).fanin()[p];
-                    let pre = self.pre_of(net, fault, node, p, StaticSet::singleton(chosen));
-                    if pre.is_empty() {
-                        return None;
-                    }
-                    node = stem;
-                    desired = pre;
+        // Excitation first (standalone stuck-at mode): if nothing carries
+        // the effect yet, provoke the site.
+        if let Some(f) = fault {
+            let stem = net.set(f.site.stem);
+            let any_effect = net.sets().iter().any(|s| s.must_be_fault_effect())
+                || net.view().convert(stem).must_be_fault_effect();
+            if !any_effect {
+                let want_good = !f.kind.value();
+                let desired: StaticSet = stem.iter().filter(|v| v.good() == want_good).collect();
+                if !desired.is_empty() && desired != stem {
+                    return Some((f.site.stem, desired));
                 }
             }
         }
-        None
+        // D-frontier: unresolved gate with a definite effect on an input,
+        // closest to an output.
+        net.d_frontier(&self.testability, StaticSet::FAULT_EFFECT)
     }
 
-    fn pre_of(
-        &self,
-        net: &Net,
-        fault: Option<StuckFault>,
-        sink: NodeId,
-        pin: usize,
-        edge_desired: StaticSet,
-    ) -> StaticSet {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        if Self::edge_converted(fault, stem, sink, pin as u8) {
-            Self::unconvert_within(
-                fault.expect("converted"),
-                edge_desired,
-                net.sets[stem.index()],
-            )
-        } else {
-            edge_desired.intersect(net.sets[stem.index()])
-        }
-    }
-
-    fn edge_cost(&self, sink: NodeId, pin: usize) -> u32 {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        self.testability.cc0[stem.index()].min(self.testability.cc1[stem.index()])
-    }
-
+    /// The backtrace at a PI or an assignable PPI: desired values are
+    /// tried first. A fixed PPI cannot be influenced.
     fn leaf_decision(
         &self,
+        ppis: &[PpiConstraint],
+        search: &Search,
         node: NodeId,
-        base: StaticSet,
         desired: StaticSet,
-        stack: &[Decision],
-    ) -> Option<(NodeId, Vec<StaticSet>)> {
-        let leaf = self.leaf_set(node, base, stack);
-        if leaf.len() <= 1 {
-            return None;
-        }
-        // Alternatives tried back-to-front: desired values last.
-        let mut ordered: Vec<StaticSet> = Vec::new();
-        for v in leaf.iter() {
-            if !desired.contains(v) {
-                ordered.push(StaticSet::singleton(v));
+    ) -> Option<Choice<StaticValue>> {
+        if self.circuit.node(node).kind() == GateKind::Dff {
+            let i = self
+                .circuit
+                .dffs()
+                .iter()
+                .position(|&f| f == node)
+                .expect("dff index");
+            if let PpiConstraint::Fixed(_) = ppis[i] {
+                return None;
             }
         }
-        for v in leaf.iter() {
-            if desired.contains(v) {
-                ordered.push(StaticSet::singleton(v));
-            }
-        }
-        Some((node, ordered))
+        let leaf = search.leaf_set(node, StaticSet::GOOD);
+        (leaf.len() > 1).then(|| (node, alternatives(leaf, |v| u8::from(desired.contains(v)))))
     }
 
     fn fallback_variable(
         &self,
-        net: &Net,
+        net: &Net<'_>,
         ppis: &[PpiConstraint],
-        stack: &[Decision],
-    ) -> Option<(NodeId, Vec<StaticSet>)> {
+        search: &Search,
+    ) -> Option<Choice<StaticValue>> {
         // Constrained PIs first, then free PIs, then assignable PPIs (each
         // PPI assignment creates a justification burden — last resort).
         let mut pick: Option<(u8, NodeId)> = None;
         for &pi in self.circuit.inputs() {
-            let leaf = self.leaf_set(pi, StaticSet::GOOD, stack);
+            let leaf = search.leaf_set(pi, StaticSet::GOOD);
             if leaf.len() > 1 {
-                let rank = if net.sets[pi.index()].len() < leaf.len() {
-                    0
-                } else {
-                    1
-                };
+                let rank = if net.set(pi).len() < leaf.len() { 0 } else { 1 };
                 if pick.is_none_or(|(r, _)| rank < r) {
                     pick = Some((rank, pi));
                 }
             }
         }
         if pick.is_none() {
-            for (i, &ff) in self.circuit.dffs().iter().enumerate() {
-                if matches!(ppis[i], PpiConstraint::Assignable) {
-                    let leaf = self.leaf_set(ff, StaticSet::GOOD, stack);
-                    if leaf.len() > 1 {
-                        pick = Some((2, ff));
-                        break;
-                    }
-                }
-            }
+            pick = self
+                .circuit
+                .dffs()
+                .iter()
+                .enumerate()
+                .find(|&(i, &ff)| {
+                    matches!(ppis[i], PpiConstraint::Assignable)
+                        && search.leaf_set(ff, StaticSet::GOOD).len() > 1
+                })
+                .map(|(_, &ff)| (2, ff));
         }
         let (_, node) = pick?;
-        let leaf = self.leaf_set(node, StaticSet::GOOD, stack);
-        let arc = net.sets[node.index()];
-        let mut ordered: Vec<StaticSet> = Vec::new();
-        for v in leaf.iter() {
-            if !arc.contains(v) {
-                ordered.push(StaticSet::singleton(v));
-            }
-        }
-        for v in leaf.iter() {
-            if arc.contains(v) {
-                ordered.push(StaticSet::singleton(v));
-            }
-        }
-        Some((node, ordered))
+        let arc = net.set(node);
+        let leaf = search.leaf_set(node, StaticSet::GOOD);
+        Some((node, alternatives(leaf, |v| u8::from(arc.contains(v)))))
+    }
+}
+
+/// The steady static value of a good-machine bit.
+fn known(b: bool) -> StaticValue {
+    if b {
+        StaticValue::S1
+    } else {
+        StaticValue::S0
     }
 }
 
@@ -866,40 +501,6 @@ fn to_logic3(s: StaticSet) -> Logic3 {
         Some(StaticValue::S1) => Logic3::One,
         _ => Logic3::X,
     }
-}
-
-/// Picks a value for input `p` that keeps `desired` producible.
-fn choose_helping_value(
-    kind: GateKind,
-    orig: &[StaticSet],
-    p: usize,
-    desired: StaticSet,
-) -> Option<StaticValue> {
-    const PREFERENCE: [StaticValue; 4] = [
-        StaticValue::S1,
-        StaticValue::S0,
-        StaticValue::D,
-        StaticValue::Db,
-    ];
-    let mut fallback = None;
-    for v in PREFERENCE {
-        if !orig[p].contains(v) {
-            continue;
-        }
-        let mut pinned = orig.to_vec();
-        pinned[p] = StaticSet::singleton(v);
-        let image = eval_gate_sets(kind, &pinned);
-        if image.intersect(desired).is_empty() {
-            continue;
-        }
-        if image.intersect(desired) == image {
-            return Some(v);
-        }
-        if fallback.is_none() {
-            fallback = Some(v);
-        }
-    }
-    fallback
 }
 
 impl<'c> FrameEngine<'c> {
@@ -920,18 +521,22 @@ impl<'c> FrameEngine<'c> {
         let mut f = vec![StaticSet::EMPTY; circuit.num_nodes()];
         for (i, &p) in circuit.inputs().iter().enumerate() {
             f[p.index()] = match pi[i].to_bool() {
-                Some(true) => StaticSet::singleton(StaticValue::S1),
-                Some(false) => StaticSet::singleton(StaticValue::S0),
+                Some(b) => StaticSet::singleton(known(b)),
                 None => StaticSet::GOOD,
             };
         }
         for (i, &ff) in circuit.dffs().iter().enumerate() {
             f[ff.index()] = state[i];
         }
-        self.forward_pass(&mut f, fault);
-        let pos = circuit.outputs().iter().map(|&po| f[po.index()]).collect();
+        let view = self.view(fault);
+        view.forward_pass(&mut f);
+        let pos = circuit
+            .outputs()
+            .iter()
+            .map(|&po| view.observed(&f, po))
+            .collect();
         let next = (0..circuit.num_dffs())
-            .map(|i| self.forward_ppo_with_fault(&f, i, fault))
+            .map(|i| view.latched(&f, i))
             .collect();
         (pos, next)
     }

@@ -448,15 +448,21 @@ pub fn client_request_with_headers(
     let stream = connect(addr, timeout)?;
     let mut writer = stream.try_clone().map_err(io_err)?;
     let body_bytes = body.map(str::as_bytes).unwrap_or_default();
+    // The whole request goes out in one write. A server may answer and
+    // close before reading it (a drain 503 does); its kernel then resets
+    // the connection when the request arrives, and a request sent in
+    // pieces fails on a later piece although the answer is already here.
+    let mut request = Vec::with_capacity(256 + body_bytes.len());
     write_request_head(
-        &mut writer,
+        &mut request,
         method,
         path,
         addr,
         body_bytes.len(),
         extra_headers,
     )?;
-    writer.write_all(body_bytes).map_err(io_err)?;
+    request.extend_from_slice(body_bytes);
+    writer.write_all(&request).map_err(io_err)?;
     writer.flush().map_err(io_err)?;
 
     let mut reader = BufReader::new(stream);

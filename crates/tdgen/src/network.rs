@@ -1,18 +1,24 @@
-//! The two-frame implication network: per-net 8-valued value sets with
-//! forward/backward implication, fault-site conversion and state-register
-//! coupling.
+//! TDgen's implication network: the shared set network of
+//! [`gdf_algebra::implication`] over 8-valued delay sets, with TDgen's
+//! rules.
 //!
 //! The paper (§3, with its refs 8 and 20) describes exactly this machinery:
 //! *"During local test pattern generation for each gate a set of values is
 //! maintained that are possible for that gate. Using these sets, and the
 //! truth tables for each gate, forward and backward implications can be
-//! made."* The fault site is the *"only exception"* where a provoking `R`
-//! (`F`) is converted into `Rc` (`Fc`); the state register contributes the
-//! `final(PPI) = initial(PPO)` correlation.
+//! made."* The network, its trail and queue, the fault-site edges and the
+//! search skeleton are written once for TDgen and SEMILET; this module
+//! supplies what is TDgen's own: the gate rules chosen by
+//! [`Sensitization`], the site conversion (the *"only exception"* where a
+//! provoking `R` (`F`) becomes `Rc` (`Fc`)), the state-register coupling
+//! `final(PPI) = initial(PPO)`, and the initial domains.
 
 use gdf_algebra::delay::{eval_gate, eval_gate_sets, narrow_inputs, DelaySet, DelayValue};
-use gdf_netlist::{Circuit, DelayFault, DelayFaultKind, GateKind, NodeId};
-use std::collections::VecDeque;
+use gdf_algebra::implication::{RegisterRule, Rules, SetNetwork, SiteView};
+use gdf_netlist::{Circuit, DelayFault, DelayFaultKind, GateKind};
+use std::ops::{Deref, DerefMut};
+
+pub use gdf_algebra::implication::Implied;
 
 /// Which sensitization criterion the implication tables follow.
 ///
@@ -51,15 +57,6 @@ impl std::str::FromStr for Sensitization {
             )),
         }
     }
-}
-
-/// Result of an implication pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Implied {
-    /// All sets consistent (none empty).
-    Consistent,
-    /// Some set became empty.
-    Conflict,
 }
 
 /// Non-robust value-level gate evaluation (see [`Sensitization::NonRobust`]).
@@ -150,12 +147,79 @@ fn narrow_nonrobust(kind: GateKind, out_allowed: &mut DelaySet, ins: &mut [Delay
     changed
 }
 
+/// TDgen's rules for the shared implication search.
+#[derive(Debug, Clone, Copy)]
+pub struct DelayRules {
+    model: Sensitization,
+    provoking: DelayValue,
+    marked: DelayValue,
+}
+
+impl Rules for DelayRules {
+    type Value = DelayValue;
+
+    /// Steady clean values first (cheap to justify, robust-friendly).
+    const PREFERENCE: &'static [DelayValue] = &[
+        DelayValue::S1,
+        DelayValue::S0,
+        DelayValue::R,
+        DelayValue::F,
+        DelayValue::H1,
+        DelayValue::H0,
+        DelayValue::Rc,
+        DelayValue::Fc,
+    ];
+
+    const REGISTER: Option<RegisterRule<DelayValue>> = Some(couple_frames);
+
+    fn convert_value(&self, v: DelayValue) -> DelayValue {
+        if v == self.provoking {
+            self.marked
+        } else {
+            v
+        }
+    }
+
+    fn eval(&self, kind: GateKind, ins: &[DelaySet]) -> DelaySet {
+        match self.model {
+            Sensitization::Robust => eval_gate_sets(kind, ins),
+            Sensitization::NonRobust => eval_sets_nonrobust(kind, ins),
+        }
+    }
+
+    fn narrow(&self, kind: GateKind, out: &mut DelaySet, ins: &mut [DelaySet]) -> bool {
+        match self.model {
+            Sensitization::Robust => narrow_inputs(kind, out, ins),
+            Sensitization::NonRobust => narrow_nonrobust(kind, out, ins),
+        }
+    }
+}
+
+/// The state register: `final(q)` must equal `initial(d)`. Conversion does
+/// not alter frame components, so the pre-conversion `d` set is
+/// authoritative.
+fn couple_frames(q: DelaySet, d: DelaySet) -> (DelaySet, DelaySet) {
+    let bits =
+        |s: DelaySet, f: fn(DelayValue) -> bool| s.iter().fold(0u8, |m, v| m | 1 << u8::from(f(v)));
+    let d_inits = bits(d, DelayValue::initial);
+    let q_keep: DelaySet = q
+        .iter()
+        .filter(|v| d_inits & 1 << u8::from(v.final_value()) != 0)
+        .collect();
+    let q_finals = bits(q_keep, DelayValue::final_value);
+    let d_keep = d
+        .iter()
+        .filter(|v| q_finals & 1 << u8::from(v.initial()) != 0)
+        .collect();
+    (q_keep, d_keep)
+}
+
 /// The implication network for one target fault.
 ///
 /// Holds one [`DelaySet`] per net (pre-conversion at the fault stem),
 /// records every narrowing on an undo trail, and propagates implications to
 /// a fixpoint through gates, the fault-site conversion and the DFF
-/// coupling.
+/// coupling. It dereferences to the shared [`SetNetwork`].
 ///
 /// # Example
 ///
@@ -174,30 +238,8 @@ fn narrow_nonrobust(kind: GateKind, out_allowed: &mut DelaySet, ins: &mut [Delay
 /// ```
 #[derive(Debug, Clone)]
 pub struct ImplicationNet<'c> {
-    circuit: &'c Circuit,
+    net: SetNetwork<'c, DelayRules>,
     fault: DelayFault,
-    model: Sensitization,
-    sets: Vec<DelaySet>,
-    trail: Vec<(NodeId, DelaySet)>,
-    queue: VecDeque<Constraint>,
-    queued: Vec<bool>,
-    conflict: bool,
-}
-
-/// One implication constraint: a gate or a flip-flop coupling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Constraint {
-    Gate(NodeId),
-    Dff(usize),
-}
-
-impl Constraint {
-    fn index(self, circuit: &Circuit) -> usize {
-        match self {
-            Constraint::Gate(id) => id.index(),
-            Constraint::Dff(i) => circuit.num_nodes() + i,
-        }
-    }
 }
 
 impl<'c> ImplicationNet<'c> {
@@ -208,47 +250,40 @@ impl<'c> ImplicationNet<'c> {
     /// * nets in the fault's output cone: all 8 values;
     /// * everything else: the 6 clean values.
     pub fn new(circuit: &'c Circuit, fault: DelayFault, model: Sensitization) -> Self {
-        let n = circuit.num_nodes();
         let seed = match fault.site.branch {
             None => fault.site.stem,
             Some((sink, _)) => sink,
         };
-        let cone = circuit.output_cone(seed);
-        let mut sets = vec![DelaySet::CLEAN; n];
-        for (i, set) in sets.iter_mut().enumerate() {
-            if cone[i] {
-                *set = DelaySet::ALL;
-            }
-        }
-        for &pi in circuit.inputs() {
-            sets[pi.index()] = DelaySet::HAZARD_FREE;
-        }
-        for &ff in circuit.dffs() {
-            sets[ff.index()] = DelaySet::HAZARD_FREE;
+        let mut sets: Vec<DelaySet> = circuit
+            .output_cone(seed)
+            .into_iter()
+            .map(|in_cone| {
+                if in_cone {
+                    DelaySet::ALL
+                } else {
+                    DelaySet::CLEAN
+                }
+            })
+            .collect();
+        for &leaf in circuit.inputs().iter().chain(circuit.dffs()) {
+            sets[leaf.index()] = DelaySet::HAZARD_FREE;
         }
         // The stem itself holds pre-conversion (clean) values.
         if fault.site.branch.is_none() {
-            let stem = fault.site.stem;
-            sets[stem.index()] = sets[stem.index()].intersect(DelaySet::CLEAN);
+            let stem = fault.site.stem.index();
+            sets[stem] = sets[stem].intersect(DelaySet::CLEAN);
         }
-        let mut net = ImplicationNet {
-            circuit,
-            fault,
+        let provoking = provoking(fault);
+        let rules = DelayRules {
             model,
-            sets,
-            trail: Vec::new(),
-            queue: VecDeque::new(),
-            queued: vec![false; n + circuit.num_dffs()],
-            conflict: false,
+            provoking,
+            marked: provoking.with_fault_mark().expect("transition"),
         };
-        // Seed every constraint once.
-        for &g in circuit.topo_order() {
-            net.enqueue(Constraint::Gate(g));
+        let view = SiteView::new(circuit, Some(fault.site), rules);
+        ImplicationNet {
+            net: SetNetwork::new(view, sets),
+            fault,
         }
-        for i in 0..circuit.num_dffs() {
-            net.enqueue(Constraint::Dff(i));
-        }
-        net
     }
 
     /// The target fault.
@@ -256,276 +291,43 @@ impl<'c> ImplicationNet<'c> {
         self.fault
     }
 
-    /// The fault model in force.
-    pub fn model(&self) -> Sensitization {
-        self.model
-    }
-
-    /// The circuit.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
-    }
-
     /// The provoking transition the fault site must show (`R` for
     /// slow-to-rise, `F` for slow-to-fall).
     pub fn provoking_value(&self) -> DelayValue {
-        match self.fault.kind {
-            DelayFaultKind::SlowToRise => DelayValue::R,
-            DelayFaultKind::SlowToFall => DelayValue::F,
-        }
-    }
-
-    /// The fault-carrying value injected downstream of the site.
-    pub fn marked_value(&self) -> DelayValue {
-        self.provoking_value()
-            .with_fault_mark()
-            .expect("transition")
-    }
-
-    /// Current (pre-conversion) set of a net.
-    pub fn set(&self, id: NodeId) -> DelaySet {
-        self.sets[id.index()]
+        provoking(self.fault)
     }
 
     /// Applies the fault-site conversion to a set: the provoking transition
     /// becomes its fault-carrying form.
     pub fn convert(&self, s: DelaySet) -> DelaySet {
-        let t = self.provoking_value();
-        if s.contains(t) {
-            let mut c = s;
-            c.remove(t);
-            c.insert(self.marked_value());
-            c
-        } else {
-            s
-        }
+        self.view().convert(s)
     }
 
     /// Inverse of [`ImplicationNet::convert`]: pre-image of a post-
     /// conversion set within `pre`.
     pub fn unconvert_within(&self, post: DelaySet, pre: DelaySet) -> DelaySet {
-        let t = self.provoking_value();
-        let m = self.marked_value();
-        let mut keep = DelaySet::EMPTY;
-        for v in pre.iter() {
-            let seen = if v == t { m } else { v };
-            if post.contains(seen) {
-                keep.insert(v);
-            }
-        }
-        keep
+        self.view().unconvert_within(post, pre)
     }
+}
 
-    /// Whether the edge `(stem → sink, pin)` carries the conversion.
-    fn edge_converted(&self, stem: NodeId, sink: NodeId, pin: u8) -> bool {
-        if stem != self.fault.site.stem {
-            return false;
-        }
-        match self.fault.site.branch {
-            None => true,
-            Some((fsink, fpin)) => fsink == sink && fpin == pin,
-        }
+fn provoking(fault: DelayFault) -> DelayValue {
+    match fault.kind {
+        DelayFaultKind::SlowToRise => DelayValue::R,
+        DelayFaultKind::SlowToFall => DelayValue::F,
     }
+}
 
-    /// The set a sink gate sees on one of its input pins.
-    pub fn edge_set(&self, sink: NodeId, pin: usize) -> DelaySet {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        let s = self.sets[stem.index()];
-        if self.edge_converted(stem, sink, pin as u8) {
-            self.convert(s)
-        } else {
-            s
-        }
+impl<'c> Deref for ImplicationNet<'c> {
+    type Target = SetNetwork<'c, DelayRules>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.net
     }
+}
 
-    /// The value set observable at a primary output (post-conversion if the
-    /// PO net is the fault stem itself).
-    pub fn po_observed_set(&self, po: NodeId) -> DelaySet {
-        let s = self.sets[po.index()];
-        if self.fault.site.stem == po && self.fault.site.branch.is_none() {
-            self.convert(s)
-        } else {
-            s
-        }
-    }
-
-    /// The value set latched by flip-flop `dff_index` (post-conversion if
-    /// the D net or the D branch is the fault site).
-    pub fn ppo_observed_set(&self, dff_index: usize) -> DelaySet {
-        let dff = self.circuit.dffs()[dff_index];
-        let d = self.circuit.ppo_of_dff(dff);
-        let s = self.sets[d.index()];
-        if self.edge_converted(d, dff, 0) {
-            self.convert(s)
-        } else {
-            s
-        }
-    }
-
-    /// Narrows a net's set; records the old value on the trail and enqueues
-    /// affected constraints. Returns `false` (and flags a conflict) if the
-    /// new set is empty.
-    pub fn assign(&mut self, id: NodeId, new: DelaySet) -> bool {
-        let old = self.sets[id.index()];
-        let meet = old.intersect(new);
-        if meet == old {
-            return !meet.is_empty();
-        }
-        self.trail.push((id, old));
-        self.sets[id.index()] = meet;
-        if meet.is_empty() {
-            self.conflict = true;
-            return false;
-        }
-        self.touch(id);
-        true
-    }
-
-    /// Enqueues every constraint adjacent to a changed net.
-    fn touch(&mut self, id: NodeId) {
-        let node = self.circuit.node(id);
-        if node.kind().is_combinational() {
-            self.enqueue(Constraint::Gate(id));
-        }
-        if node.kind() == GateKind::Dff {
-            if let Some(i) = self.circuit.dffs().iter().position(|&f| f == id) {
-                self.enqueue(Constraint::Dff(i));
-            }
-        }
-        // Collect first to avoid holding a borrow of the node while
-        // enqueueing.
-        let sinks: Vec<NodeId> = node.fanout().iter().map(|&(s, _)| s).collect();
-        for sink in sinks {
-            match self.circuit.node(sink).kind() {
-                GateKind::Dff => {
-                    if let Some(i) = self.circuit.dffs().iter().position(|&f| f == sink) {
-                        self.enqueue(Constraint::Dff(i));
-                    }
-                }
-                k if k.is_combinational() => self.enqueue(Constraint::Gate(sink)),
-                _ => {}
-            }
-        }
-    }
-
-    fn enqueue(&mut self, c: Constraint) {
-        let idx = c.index(self.circuit);
-        if !self.queued[idx] {
-            self.queued[idx] = true;
-            self.queue.push_back(c);
-        }
-    }
-
-    /// Number of trail entries — pass to [`ImplicationNet::rollback`].
-    pub fn checkpoint(&self) -> usize {
-        self.trail.len()
-    }
-
-    /// Undoes all narrowings past `mark` and clears any conflict.
-    pub fn rollback(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            let (id, old) = self.trail.pop().expect("trail entry");
-            self.sets[id.index()] = old;
-        }
-        self.conflict = false;
-        self.queue.clear();
-        for q in &mut self.queued {
-            *q = false;
-        }
-    }
-
-    fn eval_sets_m(&self, kind: GateKind, ins: &[DelaySet]) -> DelaySet {
-        match self.model {
-            Sensitization::Robust => eval_gate_sets(kind, ins),
-            Sensitization::NonRobust => eval_sets_nonrobust(kind, ins),
-        }
-    }
-
-    fn narrow_m(&self, kind: GateKind, out: &mut DelaySet, ins: &mut [DelaySet]) -> bool {
-        match self.model {
-            Sensitization::Robust => narrow_inputs(kind, out, ins),
-            Sensitization::NonRobust => narrow_nonrobust(kind, out, ins),
-        }
-    }
-
-    /// Model-aware backward narrowing on caller-owned scratch sets — used
-    /// by the backtrace heuristic to discover which input requirements a
-    /// desired output set induces, without touching the network state.
-    pub fn narrow_scratch(&self, kind: GateKind, out: &mut DelaySet, ins: &mut [DelaySet]) -> bool {
-        self.narrow_m(kind, out, ins)
-    }
-
-    /// Model-aware forward image on caller-owned scratch sets.
-    pub fn eval_scratch(&self, kind: GateKind, ins: &[DelaySet]) -> DelaySet {
-        self.eval_sets_m(kind, ins)
-    }
-
-    /// Runs implications to a fixpoint.
-    pub fn propagate(&mut self) -> Implied {
-        while let Some(c) = self.queue.pop_front() {
-            self.queued[c.index(self.circuit)] = false;
-            if self.conflict {
-                break;
-            }
-            match c {
-                Constraint::Gate(g) => self.imply_gate(g),
-                Constraint::Dff(i) => self.imply_dff(i),
-            }
-        }
-        if self.conflict {
-            Implied::Conflict
-        } else {
-            Implied::Consistent
-        }
-    }
-
-    fn imply_gate(&mut self, g: NodeId) {
-        let node = self.circuit.node(g);
-        let kind = node.kind();
-        let fanin: Vec<NodeId> = node.fanin().to_vec();
-        let mut ins: Vec<DelaySet> = (0..fanin.len()).map(|p| self.edge_set(g, p)).collect();
-        let mut out = self.sets[g.index()];
-        // Forward: intersect output with the producible image.
-        let image = self.eval_sets_m(kind, &ins);
-        out = out.intersect(image);
-        // Backward: narrow inputs against the (already tightened) output.
-        self.narrow_m(kind, &mut out, &mut ins);
-        if !self.assign(g, out) {
-            return;
-        }
-        for (p, &stem) in fanin.iter().enumerate() {
-            let pre = if self.edge_converted(stem, g, p as u8) {
-                self.unconvert_within(ins[p], self.sets[stem.index()])
-            } else {
-                ins[p]
-            };
-            if !self.assign(stem, pre) {
-                return;
-            }
-        }
-    }
-
-    fn imply_dff(&mut self, i: usize) {
-        let q = self.circuit.dffs()[i];
-        let d = self.circuit.ppo_of_dff(q);
-        let q_set = self.sets[q.index()];
-        let d_set = self.sets[d.index()];
-        // final(q) must equal initial(d); conversion does not alter frame
-        // components, so the pre-conversion d set is authoritative.
-        let d_inits: Vec<bool> = d_set.iter().map(|v| v.initial()).collect();
-        let q_keep: DelaySet = q_set
-            .iter()
-            .filter(|v| d_inits.contains(&v.final_value()))
-            .collect();
-        let q_finals: Vec<bool> = q_keep.iter().map(|v| v.final_value()).collect();
-        let d_keep: DelaySet = d_set
-            .iter()
-            .filter(|v| q_finals.contains(&v.initial()))
-            .collect();
-        if !self.assign(q, q_keep) {
-            return;
-        }
-        let _ = self.assign(d, d_keep);
+impl DerefMut for ImplicationNet<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.net
     }
 }
 

@@ -22,13 +22,28 @@
 //! Completeness comes from the decision tree covering the full PI/PPI
 //! space; objectives are heuristics only. The paper's backtrack-limit
 //! abort (default 100) sits on top.
+//!
+//! The decision stack, the backtrack step and the combinational backtrace
+//! step are the ones SEMILET's frame engine uses too
+//! ([`gdf_algebra::implication`]); this module keeps what is TDgen's own:
+//! the observation objectives, the two-frame forward image with its
+//! register coupling, the success check, the PI and PPI-initial-bit
+//! decisions, state-decision minimization and test extraction.
 
-use crate::network::{ImplicationNet, Implied, Sensitization};
+use crate::network::{DelayRules, ImplicationNet, Sensitization};
 use crate::result::{LocalObservation, LocalTest, PpoValue};
 use gdf_algebra::delay::{DelaySet, DelayValue};
+use gdf_algebra::implication::{
+    alternatives, leaf_set, Choice, Decisions, Exit, SetNetwork, SiteView, Step,
+};
 use gdf_algebra::logic3::{eval_gate3, Logic3};
 use gdf_netlist::scoap::Testability;
 use gdf_netlist::{Circuit, DelayFault, GateKind, NodeId};
+use std::ops::ControlFlow;
+
+type Net<'c> = SetNetwork<'c, DelayRules>;
+type View<'c> = SiteView<'c, DelayRules>;
+type Search = Decisions<DelayValue>;
 
 /// Configuration of the local test generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,21 +93,6 @@ pub struct TdGen<'c> {
     circuit: &'c Circuit,
     config: TdGenConfig,
     testability: Testability,
-}
-
-#[derive(Debug)]
-struct Decision {
-    node: NodeId,
-    /// The restriction currently applied.
-    applied: DelaySet,
-    /// Remaining alternative restrictions, tried back-to-front.
-    alts: Vec<DelaySet>,
-    trail_mark: usize,
-}
-
-/// Forward functional image: one set per node, plus the observation found.
-struct ForwardImage {
-    f: Vec<DelaySet>,
 }
 
 impl<'c> TdGen<'c> {
@@ -155,74 +155,37 @@ impl<'c> TdGen<'c> {
         if !net.assign(fault.site.stem, DelaySet::singleton(t)) {
             return TdGenOutcome::Untestable;
         }
-        let mut stack: Vec<Decision> = Vec::new();
-        let mut backtracks: u32 = 0;
-
-        loop {
-            let consistent = net.propagate() == Implied::Consistent;
-            if consistent {
-                let restr: Vec<(NodeId, DelaySet)> =
-                    stack.iter().map(|d| (d.node, d.applied)).collect();
-                let image = self.forward_image(&net, &restr);
-                if self.forward_success(&net, &image).is_some() {
-                    // Drop every state-bit decision the observation does
-                    // not actually need: each kept one becomes a burden on
-                    // the initialization phase.
-                    let (restr, image) = self.minimize_state_decisions(&net, restr);
-                    let obs = self
-                        .forward_success(&net, &image)
-                        .expect("minimization preserves success");
-                    return TdGenOutcome::Test(self.extract(&net, &restr, &image, obs, backtracks));
-                }
-                if self.may_reach_observable(&net)
-                    && self.pick_decision(&mut net, &mut stack).is_some()
-                {
-                    continue;
-                }
+        let mut search = Decisions::new(self.config.backtrack_limit);
+        let outcome = search.run(&mut net, |net, search| {
+            let restr: Vec<(NodeId, DelaySet)> = search.restrictions().collect();
+            let image = self.forward_image(net.view(), &restr);
+            if self.forward_success(net.view(), &image).is_some() {
+                // Drop every state-bit decision the observation does
+                // not actually need: each kept one becomes a burden on
+                // the initialization phase.
+                let (restr, image) = self.minimize_state_decisions(net.view(), restr);
+                let obs = self
+                    .forward_success(net.view(), &image)
+                    .expect("minimization preserves success");
+                return Step::Done(self.extract(
+                    net.view(),
+                    &restr,
+                    &image,
+                    obs,
+                    search.backtracks(),
+                ));
             }
-            // Backtrack.
-            backtracks += 1;
-            if backtracks > self.config.backtrack_limit {
-                return TdGenOutcome::Aborted;
+            if !self.may_reach_observable(net) {
+                return Step::Backtrack;
             }
-            let mut retried = false;
-            while let Some(mut d) = stack.pop() {
-                net.rollback(d.trail_mark);
-                if let Some(alt) = d.alts.pop() {
-                    let _ = net.assign(d.node, alt);
-                    d.applied = alt;
-                    stack.push(d);
-                    retried = true;
-                    break;
-                }
-            }
-            if !retried {
-                return TdGenOutcome::Untestable;
-            }
+            self.pick_decision(net, search)
+                .map_or(Step::Backtrack, Step::Decide)
+        });
+        match outcome {
+            Ok(test) => TdGenOutcome::Test(test),
+            Err(Exit::Exhausted) => TdGenOutcome::Untestable,
+            Err(Exit::Aborted) => TdGenOutcome::Aborted,
         }
-    }
-
-    /// The leaf domain of a decision variable: its natural domain
-    /// intersected with every restriction the decision stack applies.
-    fn leaf_set(&self, node: NodeId, stack: &[Decision]) -> DelaySet {
-        let mut s = DelaySet::HAZARD_FREE;
-        for d in stack {
-            if d.node == node {
-                s = s.intersect(d.applied);
-            }
-        }
-        s
-    }
-
-    /// Same, over a plain restriction list.
-    fn leaf_set_r(&self, node: NodeId, restr: &[(NodeId, DelaySet)]) -> DelaySet {
-        let mut s = DelaySet::HAZARD_FREE;
-        for &(n, r) in restr {
-            if n == node {
-                s = s.intersect(r);
-            }
-        }
-        s
     }
 
     /// Computes the forward functional image from the decided leaves:
@@ -231,137 +194,59 @@ impl<'c> TdGen<'c> {
     /// converts on its faulted edges. Correlation between reconvergent
     /// signals is lost in the set domain, so the image over-approximates —
     /// which makes the success check conservative (sound).
-    fn forward_image(
-        &self,
-        net: &ImplicationNet<'_>,
-        restr: &[(NodeId, DelaySet)],
-    ) -> ForwardImage {
+    fn forward_image(&self, view: &View<'_>, restr: &[(NodeId, DelaySet)]) -> Vec<DelaySet> {
         let circuit = self.circuit;
         let n = circuit.num_nodes();
+        let leaf = |node| leaf_set(node, DelaySet::HAZARD_FREE, restr.iter().copied());
 
         // Pass 1: 3-valued initial-frame values (functional in leaf inits).
         let mut init3 = vec![Logic3::X; n];
-        for &pi in circuit.inputs() {
-            init3[pi.index()] = component3(self.leaf_set_r(pi, restr), DelayValue::initial);
+        for &src in circuit.inputs().iter().chain(circuit.dffs()) {
+            init3[src.index()] = component3(leaf(src), DelayValue::initial);
         }
-        for &ff in circuit.dffs() {
-            init3[ff.index()] = component3(self.leaf_set_r(ff, restr), DelayValue::initial);
-        }
-        for &g in circuit.topo_order() {
-            let node = circuit.node(g);
-            let ins: Vec<Logic3> = node.fanin().iter().map(|&f| init3[f.index()]).collect();
-            init3[g.index()] = eval_gate3(node.kind(), &ins);
+        let mut ins = Vec::new();
+        for (g, kind, fanin) in circuit.gates_levelized() {
+            ins.clear();
+            ins.extend(fanin.iter().map(|f| init3[f.index()]));
+            init3[g.index()] = eval_gate3(kind, &ins);
         }
 
         // Pass 2: 8-valued forward sets with the site conversion.
         let mut f = vec![DelaySet::EMPTY; n];
         for &pi in circuit.inputs() {
-            f[pi.index()] = self.leaf_set_r(pi, restr);
+            f[pi.index()] = leaf(pi);
         }
         for &ff in circuit.dffs() {
-            let mut leaf = self.leaf_set_r(ff, restr);
+            let mut s = leaf(ff);
             // Register coupling, forward direction only: the PPI's final
             // value is the PPO's (functionally determined) initial value.
             if let Some(b) = init3[circuit.ppo_of_dff(ff).index()].to_bool() {
-                leaf = leaf.iter().filter(|v| v.final_value() == b).collect();
+                s = s.iter().filter(|v| v.final_value() == b).collect();
             }
-            f[ff.index()] = leaf;
+            f[ff.index()] = s;
         }
-        let fault = net.fault();
-        for &g in circuit.topo_order() {
-            let node = circuit.node(g);
-            let ins: Vec<DelaySet> = node
-                .fanin()
-                .iter()
-                .enumerate()
-                .map(|(pin, &src)| {
-                    let s = f[src.index()];
-                    let converted = match fault.site.branch {
-                        None => src == fault.site.stem,
-                        Some((sink, fpin)) => {
-                            src == fault.site.stem && sink == g && fpin == pin as u8
-                        }
-                    };
-                    if converted {
-                        net.convert(s)
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            f[g.index()] = net.eval_scratch(node.kind(), &ins);
-        }
-        ForwardImage { f }
-    }
-
-    /// Observed set at a PO in the forward image.
-    fn forward_po_set(
-        &self,
-        net: &ImplicationNet<'_>,
-        image: &ForwardImage,
-        po: NodeId,
-    ) -> DelaySet {
-        let fault = net.fault();
-        let s = image.f[po.index()];
-        if fault.site.stem == po && fault.site.branch.is_none() {
-            net.convert(s)
-        } else {
-            s
-        }
-    }
-
-    /// Observed set at a PPO (flip-flop D input) in the forward image.
-    fn forward_ppo_set(
-        &self,
-        net: &ImplicationNet<'_>,
-        image: &ForwardImage,
-        dff_index: usize,
-    ) -> DelaySet {
-        let fault = net.fault();
-        let dff = self.circuit.dffs()[dff_index];
-        let d = self.circuit.ppo_of_dff(dff);
-        let s = image.f[d.index()];
-        let converted = match fault.site.branch {
-            None => d == fault.site.stem,
-            Some((sink, pin)) => d == fault.site.stem && sink == dff && pin == 0,
-        };
-        if converted {
-            net.convert(s)
-        } else {
-            s
-        }
+        view.forward_pass(&mut f);
+        f
     }
 
     /// Declares success only from the forward image (PO first, then PPO).
-    fn forward_success(
-        &self,
-        net: &ImplicationNet<'_>,
-        image: &ForwardImage,
-    ) -> Option<LocalObservation> {
+    fn forward_success(&self, view: &View<'_>, image: &[DelaySet]) -> Option<LocalObservation> {
         for &po in self.circuit.outputs() {
-            let s = self.forward_po_set(net, image, po);
-            if !s.is_empty() && s.must_carry_fault() {
+            if view.observed(image, po).must_carry_fault() {
                 return Some(LocalObservation::AtPo(po));
             }
         }
-        for i in 0..self.circuit.num_dffs() {
-            match self.forward_ppo_set(net, image, i).as_singleton() {
-                Some(DelayValue::Rc) => {
-                    return Some(LocalObservation::AtPpo {
-                        dff: i,
-                        good_one: true,
-                    })
-                }
-                Some(DelayValue::Fc) => {
-                    return Some(LocalObservation::AtPpo {
-                        dff: i,
-                        good_one: false,
-                    })
-                }
-                _ => {}
-            }
-        }
-        None
+        (0..self.circuit.num_dffs()).find_map(|dff| match view.latched(image, dff).as_singleton() {
+            Some(DelayValue::Rc) => Some(LocalObservation::AtPpo {
+                dff,
+                good_one: true,
+            }),
+            Some(DelayValue::Fc) => Some(LocalObservation::AtPpo {
+                dff,
+                good_one: false,
+            }),
+            _ => None,
+        })
     }
 
     /// Greedily removes decisions on flip-flop initial bits whose loss
@@ -369,9 +254,9 @@ impl<'c> TdGen<'c> {
     /// surviving restrictions and their forward image.
     fn minimize_state_decisions(
         &self,
-        net: &ImplicationNet<'_>,
+        view: &View<'_>,
         mut restr: Vec<(NodeId, DelaySet)>,
-    ) -> (Vec<(NodeId, DelaySet)>, ForwardImage) {
+    ) -> (Vec<(NodeId, DelaySet)>, Vec<DelaySet>) {
         let mut idx = restr.len();
         while idx > 0 {
             idx -= 1;
@@ -381,92 +266,64 @@ impl<'c> TdGen<'c> {
             }
             let mut trial = restr.clone();
             trial.remove(idx);
-            let image = self.forward_image(net, &trial);
-            if self.forward_success(net, &image).is_some() {
+            let image = self.forward_image(view, &trial);
+            if self.forward_success(view, &image).is_some() {
                 restr = trial;
             }
         }
-        let image = self.forward_image(net, &restr);
+        let image = self.forward_image(view, &restr);
         (restr, image)
     }
 
     /// The X-path check on the arc-consistent network: every genuine test
     /// in this subtree satisfies all constraints, so if no observation
     /// point may carry, the subtree is dead.
-    fn may_reach_observable(&self, net: &ImplicationNet<'_>) -> bool {
+    fn may_reach_observable(&self, net: &Net<'_>) -> bool {
         self.circuit
             .outputs()
             .iter()
-            .any(|&po| net.po_observed_set(po).may_carry_fault())
-            || (0..self.circuit.num_dffs()).any(|i| net.ppo_observed_set(i).may_carry_fault())
+            .any(|&po| net.observed(po).may_carry_fault())
+            || (0..self.circuit.num_dffs()).any(|i| net.latched(i).may_carry_fault())
     }
 
-    /// Picks an objective, backtraces it to a decision variable, applies
-    /// the first alternative and pushes the decision. Returns `None` when
-    /// no decision variable remains.
-    fn pick_decision(&self, net: &mut ImplicationNet<'c>, stack: &mut Vec<Decision>) -> Option<()> {
-        let objective = self.pick_objective(net);
-        let decision = objective
-            .and_then(|(node, desired)| self.backtrace(net, node, desired, stack))
-            .or_else(|| self.fallback_variable(net, stack));
-        let (node, mut alts) = decision?;
-        debug_assert!(!alts.is_empty());
-        let trail_mark = net.checkpoint();
-        let first = alts.pop().expect("non-empty alternatives");
-        let _ = net.assign(node, first);
-        stack.push(Decision {
-            node,
-            applied: first,
-            alts,
-            trail_mark,
-        });
-        Some(())
+    /// Picks an objective and backtraces it to a decision variable, or
+    /// falls back to any open one. `None` when no decision variable
+    /// remains.
+    fn pick_decision(&self, net: &Net<'_>, search: &Search) -> Option<Choice<DelayValue>> {
+        self.pick_objective(net)
+            .and_then(|(node, desired)| {
+                net.backtrace(&self.testability, node, desired, |node, desired| {
+                    self.backtrace_leaf(net, search, node, desired)
+                })
+            })
+            .or_else(|| self.fallback_variable(net, search))
     }
 
     /// The D-frontier objective: the unresolved fault-effect gate closest
     /// to an output, or a not-yet-singleton observation point.
-    fn pick_objective(&self, net: &ImplicationNet<'_>) -> Option<(NodeId, DelaySet)> {
-        let mut best: Option<(u32, NodeId, DelaySet)> = None;
-        for &g in self.circuit.topo_order() {
-            let out = net.set(g);
-            if out.must_carry_fault() || !out.may_carry_fault() {
-                continue;
-            }
-            let arity = self.circuit.node(g).fanin().len();
-            let has_carrying_input = (0..arity).any(|p| net.edge_set(g, p).must_carry_fault());
-            if !has_carrying_input {
-                continue;
-            }
-            let cost = self.testability.co[g.index()];
-            let desired = out.intersect(DelaySet::CARRYING);
-            if desired.is_empty() {
-                continue;
-            }
-            if best.as_ref().is_none_or(|&(c, _, _)| cost < c) {
-                best = Some((cost, g, desired));
-            }
-        }
-        if let Some((_, g, desired)) = best {
-            return Some((g, desired));
+    fn pick_objective(&self, net: &Net<'_>) -> Option<(NodeId, DelaySet)> {
+        if let Some(objective) = net.d_frontier(&self.testability, DelaySet::CARRYING) {
+            return Some(objective);
         }
         // No frontier gate: try to force a still-ambiguous observation
         // point toward a carrying value.
+        let view = net.view();
         for &po in self.circuit.outputs() {
-            let s = net.po_observed_set(po);
+            let s = net.observed(po);
             if s.may_carry_fault() && !s.must_carry_fault() {
-                let desired = net.unconvert_within(s.intersect(DelaySet::CARRYING), net.set(po));
+                let desired = view.unconvert_within(s.intersect(DelaySet::CARRYING), net.set(po));
                 if !desired.is_empty() {
                     return Some((po, desired));
                 }
             }
         }
         for i in 0..self.circuit.num_dffs() {
-            let s = net.ppo_observed_set(i);
+            let s = net.latched(i);
             if s.may_carry_fault() && s.as_singleton().is_none() {
                 let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
                 let carrying = s.intersect(DelaySet::CARRYING);
                 let pick = carrying.iter().next().expect("may_carry");
-                let desired = net.unconvert_within(DelaySet::singleton(pick), net.set(d));
+                let desired = view.unconvert_within(DelaySet::singleton(pick), net.set(d));
                 if !desired.is_empty() {
                     return Some((d, desired));
                 }
@@ -475,157 +332,36 @@ impl<'c> TdGen<'c> {
         None
     }
 
-    /// Maps an objective `(node, desired ⊆ set(node))` to a decision on a
-    /// PI or a PPI initial bit.
-    fn backtrace(
+    /// The backtrace at a PI (decide it) or a flip-flop (decide its
+    /// initial bit, or redirect the final-value requirement through the
+    /// register to the PPO's initial value).
+    fn backtrace_leaf(
         &self,
-        net: &ImplicationNet<'_>,
-        mut node: NodeId,
-        mut desired: DelaySet,
-        stack: &[Decision],
-    ) -> Option<(NodeId, Vec<DelaySet>)> {
-        let limit = 4 * self.circuit.num_nodes() + 16;
-        for _ in 0..limit {
-            desired = desired.intersect(net.set(node));
-            if desired.is_empty() {
-                return None;
-            }
-            let kind = self.circuit.node(node).kind();
-            match kind {
-                GateKind::Input => return self.pi_decision(net, node, desired, stack),
-                GateKind::Dff => {
-                    let leaf = self.leaf_set(node, stack);
-                    let want_init: Vec<bool> = dedup_bools(desired.iter().map(|v| v.initial()));
-                    let have_init: Vec<bool> = dedup_bools(leaf.iter().map(|v| v.initial()));
-                    if want_init.len() == 1 && have_init.len() == 2 {
-                        return self.ppi_decision(node, want_init[0], leaf);
-                    }
-                    // Redirect the final-value requirement through the
-                    // register to the PPO's initial value.
-                    let finals: Vec<bool> = dedup_bools(desired.iter().map(|v| v.final_value()));
-                    let d = self.circuit.ppo_of_dff(node);
-                    let d_set = net.set(d);
-                    let redirected: DelaySet = d_set
-                        .iter()
-                        .filter(|u| finals.contains(&u.initial()))
-                        .collect();
-                    if redirected.is_empty() || redirected == d_set {
-                        return None;
-                    }
-                    node = d;
-                    desired = redirected;
-                }
-                _ => {
-                    let arity = self.circuit.node(node).fanin().len();
-                    let orig: Vec<DelaySet> = (0..arity).map(|p| net.edge_set(node, p)).collect();
-                    let mut ins = orig.clone();
-                    let mut out = desired;
-                    net.narrow_scratch(kind, &mut out, &mut ins);
-                    // Required inputs: those the desired output actually
-                    // constrains. Pursue the hardest one (classic FAN
-                    // heuristic).
-                    let required: Vec<usize> = (0..arity)
-                        .filter(|&p| ins[p] != orig[p] && !ins[p].is_empty())
-                        .collect();
-                    let mut advanced = false;
-                    if let Some(&p) = required.iter().max_by_key(|&&p| self.edge_cost(node, p)) {
-                        let stem = self.circuit.node(node).fanin()[p];
-                        let pre = self.to_pre_conversion(net, node, p, ins[p]);
-                        if !pre.is_empty() && pre != net.set(stem) {
-                            node = stem;
-                            desired = pre;
-                            advanced = true;
-                        }
-                    }
-                    if advanced {
-                        continue;
-                    }
-                    // Disjunctive case: no single input is forced. Pick the
-                    // easiest-to-control undetermined input and choose a
-                    // value for it that keeps the desired output possible.
-                    let candidates: Vec<usize> =
-                        (0..arity).filter(|&p| orig[p].len() > 1).collect();
-                    let &p = candidates
-                        .iter()
-                        .min_by_key(|&&p| self.edge_cost(node, p))?;
-                    let chosen = self.choose_helping_value(net, kind, &orig, p, desired)?;
-                    let stem = self.circuit.node(node).fanin()[p];
-                    let pre = self.to_pre_conversion(net, node, p, DelaySet::singleton(chosen));
-                    if pre.is_empty() {
-                        return None;
-                    }
-                    node = stem;
-                    desired = pre;
-                }
-            }
-        }
-        None
-    }
-
-    /// Maps an edge-view (post-conversion) requirement back to the stem's
-    /// pre-conversion domain.
-    fn to_pre_conversion(
-        &self,
-        net: &ImplicationNet<'_>,
-        sink: NodeId,
-        pin: usize,
-        edge_desired: DelaySet,
-    ) -> DelaySet {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        let stem_set = net.set(stem);
-        if net.edge_set(sink, pin) == stem_set {
-            // Unconverted edge.
-            edge_desired.intersect(stem_set)
-        } else {
-            net.unconvert_within(edge_desired, stem_set)
-        }
-    }
-
-    /// SCOAP-ish priority of an input edge (used to order backtracing).
-    fn edge_cost(&self, sink: NodeId, pin: usize) -> u32 {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        self.testability.cc0[stem.index()].min(self.testability.cc1[stem.index()])
-    }
-
-    /// Picks a value for input `p` that keeps `desired` producible —
-    /// preferring steady clean values (cheap to justify, robust-friendly).
-    fn choose_helping_value(
-        &self,
-        net: &ImplicationNet<'_>,
-        kind: GateKind,
-        orig: &[DelaySet],
-        p: usize,
+        net: &Net<'_>,
+        search: &Search,
+        node: NodeId,
         desired: DelaySet,
-    ) -> Option<DelayValue> {
-        const PREFERENCE: [DelayValue; 8] = [
-            DelayValue::S1,
-            DelayValue::S0,
-            DelayValue::R,
-            DelayValue::F,
-            DelayValue::H1,
-            DelayValue::H0,
-            DelayValue::Rc,
-            DelayValue::Fc,
-        ];
-        let mut fallback = None;
-        for v in PREFERENCE {
-            if !orig[p].contains(v) {
-                continue;
-            }
-            let mut pinned = orig.to_vec();
-            pinned[p] = DelaySet::singleton(v);
-            let image = net.eval_scratch(kind, &pinned);
-            if image.intersect(desired).is_empty() {
-                continue;
-            }
-            if image.intersect(desired) == image {
-                return Some(v); // forces the objective
-            }
-            if fallback.is_none() {
-                fallback = Some(v);
-            }
+    ) -> ControlFlow<Option<Choice<DelayValue>>, (NodeId, DelaySet)> {
+        let leaf = search.leaf_set(node, DelaySet::HAZARD_FREE);
+        if self.circuit.node(node).kind() == GateKind::Input {
+            return ControlFlow::Break(self.pi_decision(net, node, desired, leaf));
         }
-        fallback
+        let want_init = dedup_bools(desired.iter().map(|v| v.initial()));
+        let have_init = dedup_bools(leaf.iter().map(|v| v.initial()));
+        if want_init.len() == 1 && have_init.len() == 2 {
+            return ControlFlow::Break(self.ppi_decision(node, want_init[0], leaf));
+        }
+        let finals = dedup_bools(desired.iter().map(|v| v.final_value()));
+        let d = self.circuit.ppo_of_dff(node);
+        let d_set = net.set(d);
+        let redirected: DelaySet = d_set
+            .iter()
+            .filter(|u| finals.contains(&u.initial()))
+            .collect();
+        if redirected.is_empty() || redirected == d_set {
+            return ControlFlow::Break(None);
+        }
+        ControlFlow::Continue((d, redirected))
     }
 
     /// Decision alternatives for a PI: the desired values first, then the
@@ -633,45 +369,27 @@ impl<'c> TdGen<'c> {
     /// complete). Alternatives are tried back-to-front.
     fn pi_decision(
         &self,
-        net: &ImplicationNet<'_>,
+        net: &Net<'_>,
         node: NodeId,
         desired: DelaySet,
-        stack: &[Decision],
-    ) -> Option<(NodeId, Vec<DelaySet>)> {
-        let leaf = self.leaf_set(node, stack);
+        leaf: DelaySet,
+    ) -> Option<Choice<DelayValue>> {
         if leaf.len() <= 1 {
             return None;
         }
         let arc = net.set(node);
         // Order (tried back-to-front): leaf-only values, then arc values,
         // then desired values last (tried first).
-        let mut ordered: Vec<DelaySet> = Vec::new();
-        let bucket = |v: DelayValue| -> u8 {
-            if desired.contains(v) {
-                2
-            } else if arc.contains(v) {
-                1
-            } else {
-                0
-            }
+        let rank = |v| match (desired.contains(v), arc.contains(v)) {
+            (true, _) => 2,
+            (false, true) => 1,
+            (false, false) => 0,
         };
-        for rank in 0..=2u8 {
-            for v in leaf.iter() {
-                if bucket(v) == rank {
-                    ordered.push(DelaySet::singleton(v));
-                }
-            }
-        }
-        Some((node, ordered))
+        Some((node, alternatives(leaf, rank)))
     }
 
     /// Decision alternatives for a PPI initial bit.
-    fn ppi_decision(
-        &self,
-        node: NodeId,
-        want: bool,
-        leaf: DelaySet,
-    ) -> Option<(NodeId, Vec<DelaySet>)> {
+    fn ppi_decision(&self, node: NodeId, want: bool, leaf: DelaySet) -> Option<Choice<DelayValue>> {
         let restrict = |b: bool| -> DelaySet { leaf.iter().filter(|v| v.initial() == b).collect() };
         let with = restrict(want);
         let without = restrict(!want);
@@ -684,22 +402,18 @@ impl<'c> TdGen<'c> {
     /// Last-resort decision: prefer variables the implication network has
     /// already constrained (they matter for the pending objective), then
     /// any open variable.
-    fn fallback_variable(
-        &self,
-        net: &ImplicationNet<'_>,
-        stack: &[Decision],
-    ) -> Option<(NodeId, Vec<DelaySet>)> {
+    fn fallback_variable(&self, net: &Net<'_>, search: &Search) -> Option<Choice<DelayValue>> {
+        let leaf = |node| search.leaf_set(node, DelaySet::HAZARD_FREE);
         let mut open: Vec<(bool, NodeId)> = Vec::new();
         for &pi in self.circuit.inputs() {
-            let leaf = self.leaf_set(pi, stack);
+            let leaf = leaf(pi);
             if leaf.len() > 1 {
                 let constrained = net.set(pi).len() < leaf.len();
                 open.push((constrained, pi));
             }
         }
         for &ff in self.circuit.dffs() {
-            let leaf = self.leaf_set(ff, stack);
-            let inits = dedup_bools(leaf.iter().map(|v| v.initial()));
+            let inits = dedup_bools(leaf(ff).iter().map(|v| v.initial()));
             if inits.len() == 2 {
                 let arc_inits = dedup_bools(net.set(ff).iter().map(|v| v.initial()));
                 open.push((arc_inits.len() < 2, ff));
@@ -707,25 +421,16 @@ impl<'c> TdGen<'c> {
         }
         open.sort_by_key(|&(constrained, _)| !constrained);
         let (_, node) = *open.first()?;
-        let leaf = self.leaf_set(node, stack);
         if self.circuit.node(node).kind() == GateKind::Input {
             let arc = net.set(node);
-            let mut ordered: Vec<DelaySet> = Vec::new();
-            for v in leaf.iter() {
-                if !arc.contains(v) {
-                    ordered.push(DelaySet::singleton(v));
-                }
-            }
-            for v in leaf.iter() {
-                if arc.contains(v) {
-                    ordered.push(DelaySet::singleton(v));
-                }
-            }
-            Some((node, ordered))
+            Some((
+                node,
+                alternatives(leaf(node), |v| u8::from(arc.contains(v))),
+            ))
         } else {
             let arc_inits = dedup_bools(net.set(node).iter().map(|v| v.initial()));
             let want = arc_inits.first().copied().unwrap_or(false);
-            self.ppi_decision(node, want, leaf)
+            self.ppi_decision(node, want, leaf(node))
         }
     }
 
@@ -733,40 +438,39 @@ impl<'c> TdGen<'c> {
     /// image (both of which the emitted `X` semantics are sound for).
     fn extract(
         &self,
-        net: &ImplicationNet<'_>,
+        view: &View<'_>,
         restr: &[(NodeId, DelaySet)],
-        image: &ForwardImage,
+        image: &[DelaySet],
         observation: LocalObservation,
         backtracks: u32,
     ) -> LocalTest {
+        let leaf = |node| leaf_set(node, DelaySet::HAZARD_FREE, restr.iter().copied());
         let v1 = self
             .circuit
             .inputs()
             .iter()
-            .map(|&pi| component3(self.leaf_set_r(pi, restr), DelayValue::initial))
+            .map(|&pi| component3(leaf(pi), DelayValue::initial))
             .collect();
         let v2 = self
             .circuit
             .inputs()
             .iter()
-            .map(|&pi| component3(self.leaf_set_r(pi, restr), DelayValue::final_value))
+            .map(|&pi| component3(leaf(pi), DelayValue::final_value))
             .collect();
         let required_state = self
             .circuit
             .dffs()
             .iter()
-            .map(|&ff| component3(self.leaf_set_r(ff, restr), DelayValue::initial))
+            .map(|&ff| component3(leaf(ff), DelayValue::initial))
             .collect();
         let ppo_values = (0..self.circuit.num_dffs())
-            .map(
-                |i| match self.forward_ppo_set(net, image, i).as_singleton() {
-                    Some(DelayValue::S0) => PpoValue::Steady0,
-                    Some(DelayValue::S1) => PpoValue::Steady1,
-                    Some(DelayValue::Rc) => PpoValue::FaultEffect { good_one: true },
-                    Some(DelayValue::Fc) => PpoValue::FaultEffect { good_one: false },
-                    _ => PpoValue::UnjustifiableX,
-                },
-            )
+            .map(|i| match view.latched(image, i).as_singleton() {
+                Some(DelayValue::S0) => PpoValue::Steady0,
+                Some(DelayValue::S1) => PpoValue::Steady1,
+                Some(DelayValue::Rc) => PpoValue::FaultEffect { good_one: true },
+                Some(DelayValue::Fc) => PpoValue::FaultEffect { good_one: false },
+                _ => PpoValue::UnjustifiableX,
+            })
             .collect();
         LocalTest {
             v1,

@@ -204,7 +204,19 @@ fn job_api_through_a_chaos_proxy_converges_to_clean_bytes() {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    let artifact_text = artifact_text.expect("artifact fetched through the chaos");
+    let mut artifact_text = artifact_text.expect("artifact fetched through the chaos");
+    // A fast job can finish in fewer proxy connections than the schedule
+    // needs before it first fires. The artifact fetch is an idempotent
+    // GET, so keep re-fetching through the proxy until the chaos has
+    // actually hit the wire; the last successful fetch is compared below.
+    for _ in 0..200 {
+        if schedule.injected() > 0 {
+            break;
+        }
+        if let Ok(text) = client.artifact(id) {
+            artifact_text = text;
+        }
+    }
     assert!(schedule.injected() > 0, "the proxy actually misbehaved");
 
     // The fetched bytes equal a clean in-process run's canonical bytes.
